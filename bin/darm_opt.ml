@@ -501,28 +501,19 @@ let dot_cmd =
 
 let trace_cmd =
   let run tag block_size n seed pass =
-    let kernel = find_kernel tag in
-    let inst = make_instance kernel ~seed ~block_size ~n in
-    let f = inst.Kernel.func in
-    let t = transform_of_name pass in
-    ignore (t.E.t_apply f);
-    Darm_ir.Verify.run_exn f;
-    let config =
-      { Darm_sim.Simulator.default_config with trace = Some print_endline }
+    let tr, _ =
+      Profile.run_point ~seed ?n ~transform:(obs_transform_of_name pass)
+        (find_kernel tag) ~block_size
     in
-    let m =
-      Darm_sim.Simulator.run ~config f ~args:inst.Kernel.args
-        ~global:inst.Kernel.global inst.Kernel.launch
-    in
-    Printf.printf ";; %s\n"
-      (Darm_sim.Metrics.to_string m
-         ~warp_size:config.Darm_sim.Simulator.warp_size)
+    print_string (Export.to_jsonl tr)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Execute a kernel printing one line per basic block a warp \
-          executes - divergence appears as interleaved half-mask lines.")
+         "Print a kernel's structured divergence timeline as JSON Lines: \
+          pass spans, then per-warp warp.diverge / warp.reconverge / \
+          warp.barrier events of the baseline and transformed runs \
+          (the bytes simulate --trace-out F --format jsonl writes).")
     Term.(
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg)
 

@@ -75,22 +75,12 @@ let default_hier_params : hier_params =
     charged latency depends on the dynamic access pattern. *)
 type mem_model = Flat | Hier of hier_params
 
-(** Parameters of independent thread scheduling. *)
-type its_params = {
-  its_reconv_wait : bool;
-      (** convergence-optimizer barrier: a lane reaching a divergence's
-          reconvergence point (the branch's IPDOM) waits for the sibling
-          lanes of that split before proceeding, restoring maximal
-          convergence like Volta's compiler-inserted reconvergence
-          optimizer.  Deadlock-free by construction: whenever no lane of
-          the warp is runnable, every waiting lane is released, so a
-          sibling parked at a [syncthreads] (or exited via [ret]) can
-          never wedge the warp.  [false] reconverges purely
-          opportunistically — lanes join only when their PCs happen to
-          coincide. *)
-}
+(** Parameters of independent thread scheduling.  There are none; the
+    interface keeps the type abstract so configurations keep spelling
+    [Its default_its_params]. *)
+type its_params = unit
 
-let default_its_params : its_params = { its_reconv_wait = true }
+let default_its_params : its_params = ()
 
 (** Reconvergence model selector: [Stack] is the IPDOM SIMT
     reconvergence stack — the original behaviour, bit-for-bit; [Its] is
@@ -104,10 +94,11 @@ type config = {
   warp_size : int;
   latency : Darm_analysis.Latency.config;
   max_cycles_per_warp : int;
-      (** runaway-loop guard.  Under [Stack] the budget is shared by the
-          warp (lock-step issue); under [Its] each lane carries its own
-          budget of this many issues, so interleaving more lanes never
-          trips the guard earlier than lock-step execution would. *)
+      (** runaway-loop guard, checked before every issue and charged by
+          every issue, barriers included.  Under [Stack] the warp owns
+          one budget (lock-step issue); under [Its] each lane owns one,
+          so interleaving more lanes never trips the guard earlier than
+          lock-step execution would. *)
   mem_model : mem_model;
       (** memory subsystem model; [Flat] (the default) keeps per-opcode
           latencies, [Hier] makes coalescing/L1/LDS behaviour
@@ -117,11 +108,6 @@ type config = {
       (** divergence handling model; [Stack] (the default) is the IPDOM
           SIMT stack, [Its] independent thread scheduling.  Orthogonal
           to [mem_model]: all four combinations are valid. *)
-  trace : (string -> unit) option;
-      (** legacy string-trace shim, kept for [darm_opt trace]: called
-          once per executed basic block with
-          "block=<name> warp=<tid_base> mask=<popcount>".  New tooling
-          should use [obs], the structured replacement. *)
   obs : Darm_obs.Trace.t option;
       (** structured divergence timeline: per-warp [warp.diverge] /
           [warp.reconverge] / [warp.barrier] instants and per-block
@@ -140,7 +126,6 @@ let default_config : config =
     max_cycles_per_warp = 400_000_000;
     mem_model = Flat;
     reconvergence = Stack;
-    trace = None;
     obs = None;
     obs_pid = 1;
   }
@@ -203,7 +188,6 @@ type dinstr = {
   d_alu : bool;  (** memoized [Op.is_alu] *)
   d_mem : mem_class;  (** static pointer class of a memory access *)
   d_ptr : int;  (** pointer operand index for load/store, -1 otherwise *)
-  d_term : bool;  (** memoized [Op.is_terminator] *)
   d_site : int;
       (** dense static access-site index for load/store ([fctx.sites]
           maps it to the stable "<block>#<k>" id), -1 otherwise *)
@@ -299,7 +283,6 @@ let prepare (cfg : config) (fn : func) : fctx =
       d_alu = Op.is_alu i.op;
       d_mem;
       d_ptr;
-      d_term = Op.is_terminator i.op;
       d_site;
       d_ops = Array.map dop_of i.operands;
       d_succ = Array.map (fun b -> Hashtbl.find bidx b.bid) i.blocks;
@@ -358,9 +341,10 @@ let prepare (cfg : config) (fn : func) : fctx =
 (* ------------------------------------------------------------------ *)
 (* Warp state *)
 
+(** One SIMT-stack entry. *)
 type frame = {
   mutable pc : int;  (** dense block index *)
-  mutable ip : int;  (** resume index into [db_code] (for barriers) *)
+  mutable ip : int;  (** index of the next instruction in [db_code] *)
   rpc : int;  (** pop when [pc] reaches this block; -1 = never *)
   mask : bool array;
   origin : int;
@@ -375,12 +359,18 @@ type frame = {
 
 type warp_status = Running | At_barrier | Finished
 
+(** Runaway-loop guard: issues left before [Sim_error], for the warp's
+    lifetime in its thread block.  One budget per warp under [Stack],
+    one per lane under [Its]. *)
+type guard = Per_warp of { mutable left : int } | Per_lane of int array
+
 type warp = {
   tid_base : int;  (** thread index (within block) of lane 0 *)
   regs : rv array array;  (** flat register file: [slot].[lane] *)
   pred : int array;  (** per-lane predecessor block (dense), -1 = none *)
-  mutable stack : frame list;
+  mutable stack : frame list;  (** [Stack] only *)
   mutable status : warp_status;
+  guard : guard;
 }
 
 (** Mutable state of the hierarchical memory model.  Reset at every
@@ -427,6 +417,8 @@ type launch_ctx = {
   seg_scratch : int array;  (** distinct global segments, [warp_size] *)
   bank_scratch : int array;  (** shared offsets of one 32-lane phase *)
   phi_stage : rv array array;  (** two-phase phi staging buffers *)
+  taken : bool array;
+      (** [Condbr] outcome per lane, valid for the issuing lanes *)
   (* per-branch divergence attribution, indexed by dense block index
      of the branch block; folded into [metrics.branches] (keyed by
      block name — the stable static branch id) at the end of the
@@ -525,28 +517,30 @@ let mask_hex (mask : bool array) : string =
   done;
   Bytes.to_string b
 
+(* [args] is only built when a buffer is installed *)
 let obs_warp (ctx : launch_ctx) (w : warp) (name : string)
-    (args : (string * Tr.value) list) : unit =
+    (args : unit -> (string * Tr.value) list) : unit =
   match ctx.cfg.obs with
   | None -> ()
   | Some tr ->
       Tr.instant tr ~cat:"sim" ~pid:ctx.cfg.obs_pid ~tid:(1 + w.tid_base)
-        ~ts:ctx.metrics.Metrics.cycles ~args name
+        ~ts:ctx.metrics.Metrics.cycles ~args:(args ()) name
 
-let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
+(* Charge one issue of [d] costing [lat] cycles for the lanes of [mask]
+   inside an arm of the branch at block [origin] (-1 = uniform control
+   flow), while [f_lost] lanes of the split idle. *)
+let account (ctx : launch_ctx) (d : dinstr) ~(lat : int) ~(mask : bool array)
+    ~(origin : int) ~(f_lost : int) : unit =
   let m = ctx.metrics in
-  let mask = fr.mask in
-  m.cycles <- m.cycles + d.d_lat;
+  m.cycles <- m.cycles + lat;
   m.instructions <- m.instructions + 1;
-  if fr.origin >= 0 then begin
-    (* divergence attribution: this issue runs inside an arm of the
-       branch at block [origin]; the split's other-arm lanes idle *)
-    ctx.br_cycles.(fr.origin) <- ctx.br_cycles.(fr.origin) + d.d_lat;
-    ctx.br_lost.(fr.origin) <-
-      ctx.br_lost.(fr.origin) + (fr.f_lost * d.d_lat);
+  if origin >= 0 then begin
+    (* divergence attribution: the split's other-arm lanes idle *)
+    ctx.br_cycles.(origin) <- ctx.br_cycles.(origin) + lat;
+    ctx.br_lost.(origin) <- ctx.br_lost.(origin) + (f_lost * lat);
     (* the global counter moves in lock-step with the per-branch one,
        so sum(br_lost_lane_cycles) = lost_lane_cycles exactly *)
-    m.lost_lane_cycles <- m.lost_lane_cycles + (fr.f_lost * d.d_lat)
+    m.lost_lane_cycles <- m.lost_lane_cycles + (f_lost * lat)
   end;
   if d.d_alu then begin
     m.alu_issues <- m.alu_issues + 1;
@@ -554,8 +548,8 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
   end;
   if d.d_site >= 0 then begin
     ctx.ms_issues.(d.d_site) <- ctx.ms_issues.(d.d_site) + 1;
-    ctx.ms_cycles.(d.d_site) <- ctx.ms_cycles.(d.d_site) + d.d_lat;
-    m.mem_cycles <- m.mem_cycles + d.d_lat
+    ctx.ms_cycles.(d.d_site) <- ctx.ms_cycles.(d.d_site) + lat;
+    m.mem_cycles <- m.mem_cycles + lat
   end;
   match d.d_mem with
   | Mc_none -> ()
@@ -565,94 +559,19 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
 
 (* Memory coalescing: a warp-wide global access is served in 32-cell
    transactions; the counter records how many distinct segments the
-   active lanes touch (rocprof's memory-transaction counters).  Shared
-   accesses instead hit 32 word-interleaved banks; lanes touching
-   different addresses in the same bank serialize (bank conflicts).
-   Both passes run over pre-allocated scratch arrays — no per-issue
-   allocation. *)
-let account_transactions (ctx : launch_ctx) (w : warp) (d : dinstr)
-    (mask : bool array) : unit =
-  if d.d_mem <> Mc_none then begin
-    let ptr = d.d_ops.(d.d_ptr) in
-    let segs = ctx.seg_scratch in
-    let nseg = ref 0 in
-    (* the 32 LDS banks serve the wavefront in 32-lane phases *)
-    let phase = ref 0 in
-    while !phase < ctx.cfg.warp_size do
-      let bo = ctx.bank_scratch in
-      let bn = ref 0 in
-      for lane = !phase to min (ctx.cfg.warp_size - 1) (!phase + 31) do
-        if mask.(lane) then
-          match eval_dop ctx w lane ptr with
-          | Rptr (Sp_global, off) ->
-              let seg = off / 32 in
-              let dup = ref false in
-              for k = 0 to !nseg - 1 do
-                if segs.(k) = seg then dup := true
-              done;
-              if not !dup then begin
-                segs.(!nseg) <- seg;
-                incr nseg
-              end
-          | Rptr (Sp_shared, off) ->
-              bo.(!bn) <- off;
-              incr bn
-          | _ -> ()
-      done;
-      (* worst bank = max over banks of distinct offsets in that bank *)
-      let worst = ref 0 in
-      for b = 0 to 31 do
-        let cnt = ref 0 in
-        for i = 0 to !bn - 1 do
-          if bo.(i) land 31 = b then begin
-            let first = ref true in
-            for j = 0 to i - 1 do
-              if bo.(j) = bo.(i) then first := false
-            done;
-            if !first then incr cnt
-          end
-        done;
-        if !cnt > !worst then worst := !cnt
-      done;
-      if !worst > 1 then begin
-        ctx.metrics.bank_conflicts <-
-          ctx.metrics.bank_conflicts + (!worst - 1);
-        ctx.ms_bank_conflicts.(d.d_site) <-
-          ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1)
-      end;
-      phase := !phase + 32
-    done;
-    if !nseg > 0 then begin
-      ctx.metrics.global_transactions <-
-        ctx.metrics.global_transactions + !nseg;
-      ctx.metrics.global_accesses <- ctx.metrics.global_accesses + 1;
-      ctx.ms_transactions.(d.d_site) <-
-        ctx.ms_transactions.(d.d_site) + !nseg;
-      ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1
-    end
-  end
-
-(* Hierarchical accounting for one memory issue: a combined pass that
-   replaces [account] + [account_transactions] when [cfg.mem_model] is
-   [Hier].  The coalescing/bank scan is identical to
-   [account_transactions] (those counters stay model-independent); on
-   top of it the L1 probe decides the charged global latency, each
-   coalesced segment beyond the first serializes at [txn_cycles], LDS
-   conflict phases cost [lds_conflict_cycles] each, and a miss finding
-   every MSHR slot busy stalls issue until the earliest in-flight
-   request completes.  The charged issue latency is the slower of the
-   global and LDS paths ([d_lat] when the access generated no traffic at
-   all), plus any stall. *)
-let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
-    (d : dinstr) (h : hier_state) : unit =
-  let m = ctx.metrics in
-  let hp = h.hp in
-  let mask = frame.mask in
+   lanes of [mask] touch (rocprof's memory-transaction counters), and
+   [ctx.seg_scratch] holds those segments afterwards.  Shared accesses
+   instead hit 32 word-interleaved banks; lanes touching different
+   addresses in the same bank serialize (bank conflicts).  Both passes
+   run over pre-allocated scratch arrays — no per-issue allocation.
+   Returns whether any lane touched shared memory. *)
+let coalesce (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
+    bool =
   let ptr = d.d_ops.(d.d_ptr) in
   let segs = ctx.seg_scratch in
   let nseg = ref 0 in
-  let conflict_phases = ref 0 in
   let shared_seen = ref false in
+  (* the 32 LDS banks serve the wavefront in 32-lane phases *)
   let phase = ref 0 in
   while !phase < ctx.cfg.warp_size do
     let bo = ctx.bank_scratch in
@@ -676,6 +595,7 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
             incr bn
         | _ -> ()
     done;
+    (* worst bank = max over banks of distinct offsets in that bank *)
     let worst = ref 0 in
     for b = 0 to 31 do
       let cnt = ref 0 in
@@ -691,18 +611,47 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
       if !cnt > !worst then worst := !cnt
     done;
     if !worst > 1 then begin
-      m.bank_conflicts <- m.bank_conflicts + (!worst - 1);
+      ctx.metrics.bank_conflicts <- ctx.metrics.bank_conflicts + (!worst - 1);
       ctx.ms_bank_conflicts.(d.d_site) <-
-        ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1);
-      conflict_phases := !conflict_phases + (!worst - 1)
+        ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1)
     end;
     phase := !phase + 32
   done;
+  if !nseg > 0 then begin
+    ctx.metrics.global_transactions <- ctx.metrics.global_transactions + !nseg;
+    ctx.metrics.global_accesses <- ctx.metrics.global_accesses + 1;
+    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + !nseg;
+    ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1
+  end;
+  !shared_seen
+
+(* Hierarchical accounting for one memory issue, replacing the flat
+   [d_lat] charge when [cfg.mem_model] is [Hier].  The coalescing/bank
+   scan is the flat model's (those counters stay model-independent); on
+   top of it the L1 probe decides the charged global latency, each
+   coalesced segment beyond the first serializes at [txn_cycles], LDS
+   conflict phases cost [lds_conflict_cycles] each, and a miss finding
+   every MSHR slot busy stalls issue until the earliest in-flight
+   request completes.  The charged issue latency is the slower of the
+   global and LDS paths ([d_lat] when the access generated no traffic at
+   all), plus any stall. *)
+let account_mem_hier (ctx : launch_ctx) (w : warp) (d : dinstr)
+    (h : hier_state) ~(mask : bool array) ~(origin : int) ~(f_lost : int) :
+    unit =
+  let m = ctx.metrics in
+  let hp = h.hp in
+  let segs = ctx.seg_scratch in
+  (* the scan's segment and conflict-phase counts are the deltas of the
+     counters it bumps *)
+  let txns0 = m.global_transactions and conflicts0 = m.bank_conflicts in
+  let shared_seen = coalesce ctx w d mask in
+  let nseg = m.global_transactions - txns0 in
+  let conflict_phases = m.bank_conflicts - conflicts0 in
   (* L1: one probe per coalesced segment; the access counts as a hit
      only when every segment is resident, so [l1_hits + l1_misses]
      counts accesses, not segments. *)
   let all_hit = ref true in
-  for s = 0 to !nseg - 1 do
+  for s = 0 to nseg - 1 do
     let seg = segs.(s) in
     let base = seg mod hp.l1_sets * hp.l1_ways in
     let way = ref (-1) in
@@ -723,15 +672,15 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
     end
   done;
   let glat =
-    if !nseg = 0 then 0
+    if nseg = 0 then 0
     else
       (if !all_hit then hp.l1_hit_lat else hp.l1_miss_lat)
-      + (hp.txn_cycles * (!nseg - 1))
+      + (hp.txn_cycles * (nseg - 1))
   in
   (* MSHR: a missing access occupies the earliest-free slot for its
      global latency; when no slot is free at issue, the warp stalls. *)
   let stall = ref 0 in
-  if !nseg > 0 && not !all_hit then begin
+  if nseg > 0 && not !all_hit then begin
     let slot = ref 0 in
     for k = 1 to Array.length h.mshr_ready - 1 do
       if h.mshr_ready.(k) < h.mshr_ready.(!slot) then slot := k
@@ -740,27 +689,11 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
       stall := h.mshr_ready.(!slot) - m.cycles;
     h.mshr_ready.(!slot) <- m.cycles + !stall + glat
   end;
-  let bc_cycles = !conflict_phases * hp.lds_conflict_cycles in
-  let slat = (if !shared_seen then d.d_lat else 0) + bc_cycles in
+  let bc_cycles = conflict_phases * hp.lds_conflict_cycles in
+  let slat = (if shared_seen then d.d_lat else 0) + bc_cycles in
   let lat = max glat slat in
   let lat = if lat = 0 then d.d_lat else lat in
-  let charged = !stall + lat in
-  m.cycles <- m.cycles + charged;
-  m.instructions <- m.instructions + 1;
-  if frame.origin >= 0 then begin
-    ctx.br_cycles.(frame.origin) <- ctx.br_cycles.(frame.origin) + charged;
-    ctx.br_lost.(frame.origin) <-
-      ctx.br_lost.(frame.origin) + (frame.f_lost * charged);
-    m.lost_lane_cycles <- m.lost_lane_cycles + (frame.f_lost * charged)
-  end;
-  (match d.d_mem with
-  | Mc_none -> ()
-  | Mc_global -> m.mem_global <- m.mem_global + 1
-  | Mc_shared -> m.mem_shared <- m.mem_shared + 1
-  | Mc_flat -> m.mem_flat <- m.mem_flat + 1);
-  m.mem_cycles <- m.mem_cycles + charged;
-  ctx.ms_issues.(d.d_site) <- ctx.ms_issues.(d.d_site) + 1;
-  ctx.ms_cycles.(d.d_site) <- ctx.ms_cycles.(d.d_site) + charged;
+  account ctx d ~lat:(!stall + lat) ~mask ~origin ~f_lost;
   if !stall > 0 then begin
     m.mem_stall_cycles <- m.mem_stall_cycles + !stall;
     ctx.ms_stall_cycles.(d.d_site) <-
@@ -771,11 +704,7 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
     ctx.ms_bank_conflict_cycles.(d.d_site) <-
       ctx.ms_bank_conflict_cycles.(d.d_site) + bc_cycles
   end;
-  if !nseg > 0 then begin
-    m.global_transactions <- m.global_transactions + !nseg;
-    m.global_accesses <- m.global_accesses + 1;
-    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + !nseg;
-    ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1;
+  if nseg > 0 then begin
     if !all_hit then begin
       m.l1_hits <- m.l1_hits + 1;
       ctx.ms_l1_hits.(d.d_site) <- ctx.ms_l1_hits.(d.d_site) + 1
@@ -800,10 +729,10 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
 (* Instruction execution *)
 
 (** Execute all phis of the block simultaneously (two-phase read/commit)
-    for the active lanes of [frame], staging into the context's
-    pre-allocated buffers. *)
-let exec_phis (ctx : launch_ctx) (w : warp) (frame : frame) (db : dblock) :
-    unit =
+    for the lanes of [mask], staging into the context's pre-allocated
+    buffers. *)
+let exec_phis (ctx : launch_ctx) (w : warp) (mask : bool array) (db : dblock)
+    : unit =
   let nphis = Array.length db.db_phis in
   if nphis > 0 then begin
     let ws = ctx.cfg.warp_size in
@@ -811,7 +740,7 @@ let exec_phis (ctx : launch_ctx) (w : warp) (frame : frame) (db : dblock) :
       let p = db.db_phis.(pi) in
       let stage = ctx.phi_stage.(pi) in
       for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then
+        if mask.(lane) then
           stage.(lane) <-
             (let pred = w.pred.(lane) in
              if pred < 0 then Rundef
@@ -823,14 +752,112 @@ let exec_phis (ctx : launch_ctx) (w : warp) (frame : frame) (db : dblock) :
       let stage = ctx.phi_stage.(pi) in
       let file = w.regs.(p.p_slot) in
       for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then file.(lane) <- stage.(lane)
+        if mask.(lane) then file.(lane) <- stage.(lane)
       done
     done
   end
 
 exception Poison
 
-(** Execute one non-phi, non-terminator instruction under the mask.
+let set_pred_for_mask (w : warp) (mask : bool array) (bi : int) : unit =
+  for lane = 0 to Array.length mask - 1 do
+    if mask.(lane) then w.pred.(lane) <- bi
+  done
+
+(** What one issue did; each scheduler records it in its own state. *)
+type outcome =
+  | Next  (** fell through to the next instruction of the block *)
+  | Jump of int  (** every issuing lane branched to this block *)
+  | Split of {
+      t_pc : int;
+      f_pc : int;
+      t_mask : bool array;
+      f_mask : bool array;
+      t_count : int;
+      f_count : int;
+      rpc : int;  (** reconvergence point (the IPDOM), -1 = none *)
+    }  (** a conditional branch split the issuing lanes *)
+  | Barrier  (** reached [syncthreads]; resume at the next instruction *)
+  | Exit  (** [ret]: the issuing lanes are done *)
+
+(** Evaluate a [Condbr] at block [pc] for the lanes of [mask], each
+    lane's condition once (into [ctx.taken]). *)
+let branch (ctx : launch_ctx) (w : warp) (d : dinstr) ~(mask : bool array)
+    ~(pc : int) : outcome =
+  let taken = ctx.taken in
+  let cond = d.d_ops.(0) in
+  let t_count = ref 0 and f_count = ref 0 in
+  for lane = 0 to Array.length mask - 1 do
+    if mask.(lane) then begin
+      let t = as_bool "condbr" (eval_dop ctx w lane cond) in
+      taken.(lane) <- t;
+      if t then incr t_count else incr f_count
+    end
+  done;
+  set_pred_for_mask w mask pc;
+  if !f_count = 0 then Jump d.d_succ.(0)
+  else if !t_count = 0 then Jump d.d_succ.(1)
+  else begin
+    ctx.metrics.divergent_branches <- ctx.metrics.divergent_branches + 1;
+    ctx.br_div.(pc) <- ctx.br_div.(pc) + 1;
+    let t_mask = Array.mapi (fun l m -> m && taken.(l)) mask in
+    let f_mask = Array.mapi (fun l m -> m && not taken.(l)) mask in
+    let dbs = ctx.fctx.dblocks in
+    let rpc = dbs.(pc).db_ipdom in
+    obs_warp ctx w "warp.diverge" (fun () ->
+        [
+          ("block", Tr.Str dbs.(pc).db_name);
+          ("branch_id", Tr.Str dbs.(pc).db_name);
+          ("t_active", Tr.Int !t_count);
+          ("f_active", Tr.Int !f_count);
+          ("t_mask", Tr.Str (mask_hex t_mask));
+          ("f_mask", Tr.Str (mask_hex f_mask));
+          ( "reconverge",
+            Tr.Str (if rpc >= 0 then dbs.(rpc).db_name else "<none>") );
+        ]);
+    Split
+      {
+        t_pc = d.d_succ.(0);
+        f_pc = d.d_succ.(1);
+        t_mask;
+        f_mask;
+        t_count = !t_count;
+        f_count = !f_count;
+        rpc;
+      }
+  end
+
+let fail_context (d : dinstr) (msg : string) =
+  let i = d.d_orig in
+  errf "%s (instr %d, op %s, block %s)" msg i.id (Op.to_string i.op)
+    (match i.parent with Some b -> b.bname | None -> "?")
+
+(* poisoning fetch of operand [k] for pure ALU operations *)
+let opv (ctx : launch_ctx) (w : warp) (d : dinstr) (k : int) (lane : int) : rv
+    =
+  match eval_dop ctx w lane d.d_ops.(k) with Rundef -> raise Poison | v -> v
+
+(* strict operand fetch for operations that must not see undef *)
+let opv_strict (ctx : launch_ctx) (w : warp) (d : dinstr) (k : int)
+    (lane : int) : rv =
+  match eval_dop ctx w lane d.d_ops.(k) with
+  | Rundef ->
+      fail_context d (Printf.sprintf "operand %d is undef in lane %d" k lane)
+  | v -> v
+
+(* write [f lane] (undef when it poisons) to [d]'s register in every
+   lane of [mask] *)
+let per_lane (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array)
+    (f : int -> rv) : outcome =
+  let file = w.regs.(d.d_slot) in
+  for lane = 0 to ctx.cfg.warp_size - 1 do
+    if mask.(lane) then file.(lane) <- (try f lane with Poison -> Rundef)
+  done;
+  Next
+
+(** Execute one non-phi instruction of block [pc] under the mask and
+    account it, attributing its cycles to the split at [origin] whose
+    [f_lost] other lanes idle meanwhile.
 
     Undef ({e poison}) semantics follow LLVM and real hardware: pure ALU
     operations on undef produce undef (melding executes gap instructions
@@ -838,262 +865,193 @@ exception Poison
     undef entry-phi values); dereferencing an undef pointer, dividing by
     an undef value or branching on an undef condition is a genuine
     error and traps. *)
-let exec_instr (ctx : launch_ctx) (w : warp) (frame : frame) (d : dinstr) :
-    unit =
+let exec_instr (ctx : launch_ctx) (w : warp) (d : dinstr) ~(mask : bool array)
+    ~(origin : int) ~(f_lost : int) ~(pc : int) : outcome =
   (match ctx.hier with
-  | Some h when d.d_mem <> Mc_none -> account_mem_hier ctx w frame d h
+  | Some h when d.d_mem <> Mc_none ->
+      account_mem_hier ctx w d h ~mask ~origin ~f_lost
   | _ ->
-      account ctx d frame;
-      if d.d_mem <> Mc_none then account_transactions ctx w d frame.mask);
-  let fail_context msg =
-    let i = d.d_orig in
-    errf "%s (instr %d, op %s, block %s)" msg i.id (Op.to_string i.op)
-      (match i.parent with Some b -> b.bname | None -> "?")
-  in
-  let mask = frame.mask in
-  let per_lane (f : int -> rv) : unit =
-    let file = w.regs.(d.d_slot) in
-    for lane = 0 to ctx.cfg.warp_size - 1 do
-      if mask.(lane) then
-        file.(lane) <- (try f lane with Poison -> Rundef)
-    done
-  in
-  (* strict operand fetch for operations that must not see undef *)
-  let opv_strict k lane =
-    match eval_dop ctx w lane d.d_ops.(k) with
-    | Rundef ->
-        fail_context
-          (Printf.sprintf "operand %d is undef in lane %d" k lane)
-    | v -> v
-  in
-  (* poisoning operand fetch for pure ALU operations *)
-  let opv k lane =
-    match eval_dop ctx w lane d.d_ops.(k) with
-    | Rundef -> raise Poison
-    | v -> v
-  in
+      account ctx d ~lat:d.d_lat ~mask ~origin ~f_lost;
+      if d.d_mem <> Mc_none then ignore (coalesce ctx w d mask));
   match d.d_op with
   | Op.Ibin ((Op.Sdiv | Op.Srem) as op) ->
-      per_lane (fun l ->
+      per_lane ctx w d mask (fun l ->
           Rint
             (eval_ibin op
-               (as_int "ibin" (opv_strict 0 l))
-               (as_int "ibin" (opv_strict 1 l))))
+               (as_int "ibin" (opv_strict ctx w d 0 l))
+               (as_int "ibin" (opv_strict ctx w d 1 l))))
   | Op.Ibin op ->
-      per_lane (fun l ->
-          Rint (eval_ibin op (as_int "ibin" (opv 0 l)) (as_int "ibin" (opv 1 l))))
+      per_lane ctx w d mask (fun l ->
+          Rint
+            (eval_ibin op
+               (as_int "ibin" (opv ctx w d 0 l))
+               (as_int "ibin" (opv ctx w d 1 l))))
   | Op.Fbin op ->
-      per_lane (fun l ->
+      per_lane ctx w d mask (fun l ->
           Rfloat
-            (eval_fbin op (as_float "fbin" (opv 0 l))
-               (as_float "fbin" (opv 1 l))))
+            (eval_fbin op
+               (as_float "fbin" (opv ctx w d 0 l))
+               (as_float "fbin" (opv ctx w d 1 l))))
   | Op.Icmp p ->
-      per_lane (fun l ->
+      per_lane ctx w d mask (fun l ->
           Rbool
-            (eval_icmp p (as_int "icmp" (opv 0 l)) (as_int "icmp" (opv 1 l))))
+            (eval_icmp p
+               (as_int "icmp" (opv ctx w d 0 l))
+               (as_int "icmp" (opv ctx w d 1 l))))
   | Op.Fcmp p ->
-      per_lane (fun l ->
+      per_lane ctx w d mask (fun l ->
           Rbool
             (eval_fcmp p
-               (as_float "fcmp" (opv 0 l))
-               (as_float "fcmp" (opv 1 l))))
-  | Op.Not -> per_lane (fun l -> Rbool (not (as_bool "not" (opv 0 l))))
+               (as_float "fcmp" (opv ctx w d 0 l))
+               (as_float "fcmp" (opv ctx w d 1 l))))
+  | Op.Not ->
+      per_lane ctx w d mask (fun l ->
+          Rbool (not (as_bool "not" (opv ctx w d 0 l))))
   | Op.Select ->
-      per_lane (fun l ->
+      per_lane ctx w d mask (fun l ->
           (* the not-taken arm may be undef without poisoning the result *)
-          if as_bool "select" (opv 0 l) then eval_dop ctx w l d.d_ops.(1)
+          if as_bool "select" (opv ctx w d 0 l) then
+            eval_dop ctx w l d.d_ops.(1)
           else eval_dop ctx w l d.d_ops.(2))
   | Op.Load ->
-      per_lane (fun l ->
-          let sp, off = as_ptr "load" (opv_strict 0 l) in
+      per_lane ctx w d mask (fun l ->
+          let sp, off = as_ptr "load" (opv_strict ctx w d 0 l) in
           Memory.read (mem_for ctx sp) off)
   | Op.Store ->
       for lane = 0 to ctx.cfg.warp_size - 1 do
         if mask.(lane) then begin
           let v = eval_dop ctx w lane d.d_ops.(0) in
-          let sp, off = as_ptr "store" (opv_strict 1 lane) in
+          let sp, off = as_ptr "store" (opv_strict ctx w d 1 lane) in
           Memory.write (mem_for ctx sp) off v
         end
-      done
+      done;
+      Next
   | Op.Gep ->
-      per_lane (fun l ->
-          let sp, off = as_ptr "gep" (opv 0 l) in
-          Rptr (sp, off + as_int "gep" (opv 1 l)))
-  | Op.Thread_idx -> per_lane (fun l -> Rint (w.tid_base + l))
-  | Op.Block_idx -> per_lane (fun _ -> Rint ctx.block_idx)
-  | Op.Block_dim -> per_lane (fun _ -> Rint ctx.block_dim)
-  | Op.Grid_dim -> per_lane (fun _ -> Rint ctx.grid_dim)
-  | Op.Alloc_shared _ -> per_lane (fun _ -> Rptr (Sp_shared, d.d_imm))
+      per_lane ctx w d mask (fun l ->
+          let sp, off = as_ptr "gep" (opv ctx w d 0 l) in
+          Rptr (sp, off + as_int "gep" (opv ctx w d 1 l)))
+  | Op.Thread_idx -> per_lane ctx w d mask (fun l -> Rint (w.tid_base + l))
+  | Op.Block_idx -> per_lane ctx w d mask (fun _ -> Rint ctx.block_idx)
+  | Op.Block_dim -> per_lane ctx w d mask (fun _ -> Rint ctx.block_dim)
+  | Op.Grid_dim -> per_lane ctx w d mask (fun _ -> Rint ctx.grid_dim)
+  | Op.Alloc_shared _ ->
+      per_lane ctx w d mask (fun _ -> Rptr (Sp_shared, d.d_imm))
   | Op.Sitofp ->
-      per_lane (fun l -> Rfloat (float_of_int (as_int "sitofp" (opv 0 l))))
+      per_lane ctx w d mask (fun l ->
+          Rfloat (float_of_int (as_int "sitofp" (opv ctx w d 0 l))))
   | Op.Fptosi ->
-      per_lane (fun l -> Rint (int_of_float (as_float "fptosi" (opv 0 l))))
-  | Op.Addrspace_cast -> per_lane (fun l -> opv 0 l)
-  | Op.Syncthreads | Op.Phi | Op.Br | Op.Condbr | Op.Ret ->
-      errf "exec_instr: %s handled elsewhere" (Op.to_string d.d_op)
+      per_lane ctx w d mask (fun l ->
+          Rint (int_of_float (as_float "fptosi" (opv ctx w d 0 l))))
+  | Op.Addrspace_cast -> per_lane ctx w d mask (fun l -> opv ctx w d 0 l)
+  | Op.Ret -> Exit
+  | Op.Br ->
+      set_pred_for_mask w mask pc;
+      Jump d.d_succ.(0)
+  | Op.Condbr -> branch ctx w d ~mask ~pc
+  | Op.Syncthreads ->
+      ctx.metrics.barriers <- ctx.metrics.barriers + 1;
+      obs_warp ctx w "warp.barrier" (fun () ->
+          [
+            ("block", Tr.Str ctx.fctx.dblocks.(pc).db_name);
+            ("active", Tr.Int (popcount mask));
+          ]);
+      Barrier
+  | Op.Phi -> errf "exec_instr: phis run at block entry"
 
 (* ------------------------------------------------------------------ *)
-(* Control flow *)
+(* The issue core and its two schedulers *)
 
-let set_pred_for_mask (w : warp) (mask : bool array) (bi : int) : unit =
-  for lane = 0 to Array.length mask - 1 do
-    if mask.(lane) then w.pred.(lane) <- bi
-  done
-
-(** Execute the terminator of the top frame, updating the stack. *)
-let exec_terminator (ctx : launch_ctx) (w : warp) (frame : frame)
-    (d : dinstr) (db : dblock) : unit =
-  account ctx d frame;
-  match d.d_op with
-  | Op.Ret -> w.stack <- List.tl w.stack
-  | Op.Br ->
-      set_pred_for_mask w frame.mask frame.pc;
-      frame.pc <- d.d_succ.(0);
-      frame.ip <- 0
-  | Op.Condbr ->
-      let ws = ctx.cfg.warp_size in
-      let cond = d.d_ops.(0) in
-      (* first pass: detect the (common) uniform case without
-         allocating the split masks *)
-      let tcount = ref 0 and fcount = ref 0 in
-      for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then
-          if as_bool "condbr" (eval_dop ctx w lane cond) then incr tcount
-          else incr fcount
-      done;
-      let cur = frame.pc in
-      if !fcount = 0 then begin
-        set_pred_for_mask w frame.mask cur;
-        frame.pc <- d.d_succ.(0);
-        frame.ip <- 0
-      end
-      else if !tcount = 0 then begin
-        set_pred_for_mask w frame.mask cur;
-        frame.pc <- d.d_succ.(1);
-        frame.ip <- 0
-      end
-      else begin
-        (* the warp splits: IPDOM reconvergence *)
-        ctx.metrics.divergent_branches <- ctx.metrics.divergent_branches + 1;
-        ctx.br_div.(cur) <- ctx.br_div.(cur) + 1;
-        set_pred_for_mask w frame.mask cur;
-        let tmask = Array.make ws false in
-        let fmask = Array.make ws false in
-        for lane = 0 to ws - 1 do
-          if frame.mask.(lane) then
-            if as_bool "condbr" (eval_dop ctx w lane cond) then
-              tmask.(lane) <- true
-            else fmask.(lane) <- true
-        done;
-        let rpc = db.db_ipdom in
-        obs_warp ctx w "warp.diverge"
-          [
-            ("block", Tr.Str db.db_name);
-            ("branch_id", Tr.Str db.db_name);
-            ("t_active", Tr.Int (popcount tmask));
-            ("f_active", Tr.Int (popcount fmask));
-            ("t_mask", Tr.Str (mask_hex tmask));
-            ("f_mask", Tr.Str (mask_hex fmask));
-            ( "reconverge",
-              Tr.Str
-                (if rpc >= 0 then ctx.fctx.dblocks.(rpc).db_name else "<none>")
-            );
-          ];
-        let t_frame =
-          { pc = d.d_succ.(0); ip = 0; rpc; mask = tmask; origin = cur;
-            f_lost = !fcount }
-        in
-        let f_frame =
-          { pc = d.d_succ.(1); ip = 0; rpc; mask = fmask; origin = cur;
-            f_lost = !tcount }
-        in
-        if rpc >= 0 then begin
-          frame.pc <- rpc;
-          frame.ip <- 0;
-          w.stack <- t_frame :: f_frame :: w.stack
+let charge_guard (w : warp) (mask : bool array) : unit =
+  match w.guard with
+  | Per_warp g ->
+      if g.left <= 0 then errf "cycle budget exhausted (runaway loop?)";
+      g.left <- g.left - 1
+  | Per_lane left ->
+      for l = 0 to Array.length mask - 1 do
+        if mask.(l) then begin
+          if left.(l) <= 0 then
+            errf "cycle budget exhausted in lane %d (runaway loop?)"
+              (w.tid_base + l);
+          left.(l) <- left.(l) - 1
         end
-        else
-          (* no reconvergence point: both arms run to completion *)
-          w.stack <- t_frame :: f_frame :: List.tl w.stack
-      end
-  | _ -> errf "exec_terminator: %s is not a terminator" (Op.to_string d.d_op)
+      done
 
-(** Run the warp until it finishes or reaches a barrier. *)
+(** The issue step shared by both schedulers: charge the runaway guard,
+    then execute the instruction at [(pc, ip)] for the lanes of [mask] —
+    the block's phis first when [ip = 0] — and account it (see
+    {!exec_instr}). *)
+let issue (ctx : launch_ctx) (w : warp) ~(mask : bool array) ~(origin : int)
+    ~(f_lost : int) ~(pc : int) ~(ip : int) : outcome =
+  charge_guard w mask;
+  let db = ctx.fctx.dblocks.(pc) in
+  if ip >= Array.length db.db_code then
+    errf "block %s has no terminator" db.db_name;
+  if ip = 0 then exec_phis ctx w mask db;
+  exec_instr ctx w (Array.unsafe_get db.db_code ip) ~mask ~origin ~f_lost ~pc
+
+(** Count a reconvergence of the split at branch block [origin], joining
+    at block [at], and put it on the timeline with the [joined] lanes. *)
+let reconverged (ctx : launch_ctx) (w : warp) ~(origin : int) ~(at : int)
+    (joined : unit -> bool array) : unit =
+  ctx.metrics.reconvergences <- ctx.metrics.reconvergences + 1;
+  ctx.br_reconv.(origin) <- ctx.br_reconv.(origin) + 1;
+  obs_warp ctx w "warp.reconverge" (fun () ->
+      let mask = joined () in
+      let dbs = ctx.fctx.dblocks in
+      [
+        ("block", Tr.Str dbs.(at).db_name);
+        ("branch_id", Tr.Str dbs.(origin).db_name);
+        ("active", Tr.Int (popcount mask));
+        ("mask", Tr.Str (mask_hex mask));
+      ])
+
+(** SIMT-stack scheduler: issue for the top frame; a split pushes one
+    frame per arm, and an arm's frame pops when its pc reaches the
+    reconvergence point, where the parent resumes.  Runs the warp until
+    it finishes or reaches a barrier. *)
 let run_warp (ctx : launch_ctx) (w : warp) : unit =
-  let dbs = ctx.fctx.dblocks in
-  let budget = ref ctx.cfg.max_cycles_per_warp in
-  let continue_ = ref true in
-  while !continue_ do
-    if !budget <= 0 then errf "cycle budget exhausted (runaway loop?)";
+  let running = ref true in
+  while !running do
     match w.stack with
     | [] ->
         w.status <- Finished;
-        continue_ := false
-    | frame :: rest ->
-        if frame.rpc >= 0 && frame.rpc = frame.pc then begin
-          (* reconverged: drop the frame, the parent resumes at rpc *)
-          ctx.metrics.reconvergences <- ctx.metrics.reconvergences + 1;
-          if frame.origin >= 0 then
-            ctx.br_reconv.(frame.origin) <- ctx.br_reconv.(frame.origin) + 1;
-          obs_warp ctx w "warp.reconverge"
-            [
-              ("block", Tr.Str dbs.(frame.pc).db_name);
-              ( "branch_id",
-                Tr.Str
-                  (if frame.origin >= 0 then dbs.(frame.origin).db_name
-                   else "<entry>") );
-              ("active", Tr.Int (popcount frame.mask));
-              ("mask", Tr.Str (mask_hex frame.mask));
-            ];
-          w.stack <- rest
-        end
-        else begin
-          let db = dbs.(frame.pc) in
-          (* string-trace compatibility shim ([darm_opt trace]); the
-             structured timeline goes through [obs_warp] instead *)
-          (match ctx.cfg.trace with
-          | Some emit when frame.ip = 0 ->
-              emit
-                (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-                   w.tid_base (popcount frame.mask))
-          | _ -> ());
-          if frame.ip = 0 then exec_phis ctx w frame db;
-          (* execute from the resume index *)
-          let code = db.db_code in
-          let n = Array.length code in
-          let k = ref frame.ip in
-          let stop = ref false in
-          while not !stop do
-            if !k >= n then errf "block %s has no terminator" db.db_name;
-            let d = Array.unsafe_get code !k in
-            if d.d_term then begin
-              exec_terminator ctx w frame d db;
-              decr budget;
-              stop := true
+        running := false
+    | frame :: rest when frame.rpc = frame.pc ->
+        (* reconverged: drop the frame, the parent resumes at rpc *)
+        reconverged ctx w ~origin:frame.origin ~at:frame.pc (fun () ->
+            frame.mask);
+        w.stack <- rest
+    | frame :: rest -> (
+        let pc = frame.pc in
+        match
+          issue ctx w ~mask:frame.mask ~origin:frame.origin
+            ~f_lost:frame.f_lost ~pc ~ip:frame.ip
+        with
+        | Next -> frame.ip <- frame.ip + 1
+        | Jump b ->
+            frame.pc <- b;
+            frame.ip <- 0
+        | Split { t_pc; f_pc; t_mask; f_mask; t_count; f_count; rpc } ->
+            let arm a_pc mask f_lost =
+              { pc = a_pc; ip = 0; rpc; mask; origin = pc; f_lost }
+            in
+            let t = arm t_pc t_mask f_count and f = arm f_pc f_mask t_count in
+            if rpc >= 0 then begin
+              frame.pc <- rpc;
+              frame.ip <- 0;
+              w.stack <- t :: f :: w.stack
             end
-            else if d.d_op = Op.Syncthreads then begin
-              account ctx d frame;
-              ctx.metrics.barriers <- ctx.metrics.barriers + 1;
-              obs_warp ctx w "warp.barrier"
-                [
-                  ("block", Tr.Str db.db_name);
-                  ("active", Tr.Int (popcount frame.mask));
-                ];
-              (match w.stack with
-              | _ :: _ :: _ -> errf "syncthreads in divergent control flow"
-              | _ -> ());
-              frame.ip <- !k + 1;
-              w.status <- At_barrier;
-              stop := true
-            end
-            else begin
-              exec_instr ctx w frame d;
-              decr budget;
-              incr k
-            end
-          done;
-          if w.status = At_barrier then continue_ := false
-        end
+            else
+              (* no reconvergence point: both arms run to completion *)
+              w.stack <- t :: f :: rest
+        | Barrier -> (
+            match rest with
+            | _ :: _ -> errf "syncthreads in divergent control flow"
+            | [] ->
+                frame.ip <- frame.ip + 1;
+                w.status <- At_barrier;
+                running := false)
+        | Exit -> w.stack <- rest)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1102,22 +1060,22 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
    Every lane carries its own PC, instruction index and run state; the
    warp scheduler repeatedly picks the runnable group of lanes sharing
    the lexicographically minimal (pc, ip) — MinPC — and issues one
-   instruction for that group.  Lanes reconverge opportunistically when
-   their PCs coincide; with [its_reconv_wait] a lane reaching a split's
-   reconvergence point additionally parks until its sibling lanes
-   arrive (the convergence-optimizer barrier), which restores maximal
-   convergence on structured code.  Liveness is unconditional: whenever
-   no lane of the warp is runnable, every parked lane is released, so
-   siblings stuck at a [syncthreads] or exited via [ret] can never
-   wedge the warp — [syncthreads] stays deadlock-free under divergence,
-   where the SIMT stack model must reject it.
+   instruction for that group through the same {!issue} core as the
+   stack scheduler.  Lanes reconverge opportunistically when their PCs
+   coincide, and a lane reaching a split's reconvergence point parks
+   until its sibling lanes arrive (the convergence-optimizer barrier),
+   which restores maximal convergence on structured code.  Liveness is
+   unconditional: whenever no lane of the warp is runnable, every
+   parked lane is released, so siblings stuck at a [syncthreads] or
+   exited via [ret] can never wedge the warp — [syncthreads] stays
+   deadlock-free under divergence, where the SIMT stack model must
+   reject it.
 
-   Divergence attribution reuses the stack model's machinery: each
-   issue goes through a scratch [frame] whose [origin] is the issuing
-   group leader's innermost open split and whose [f_lost] counts the
-   warp's other non-retired lanes, so [account] / [account_mem_hier]
-   feed the same per-branch and global lost-lane counters and the
-   exact-sum identities hold under both models. *)
+   Divergence attribution follows the stack model's innermost-frame
+   rule: an issue is attributed to the group leader's innermost open
+   split, and its lost lanes are the warp's other non-retired lanes, so
+   the per-branch and global lost-lane counters close exactly under
+   both models. *)
 
 (** One open split a lane is inside of: the branch block that split the
     warp and the reconvergence point where the entry pops.  A lane's
@@ -1139,7 +1097,6 @@ type its_warp = {
   iw_div : lane_entry list array;  (** open splits, innermost first *)
   iw_wait : (int * int) array;
       (** the (origin, rpc) a [L_wait] lane is parked on *)
-  iw_budget : int array;  (** per-lane runaway-loop guard *)
 }
 
 let make_its_warp (cfg : config) ~(live : int) : its_warp =
@@ -1150,7 +1107,6 @@ let make_its_warp (cfg : config) ~(live : int) : its_warp =
     iw_stat = Array.init ws (fun l -> if l < live then L_run else L_done);
     iw_div = Array.make ws [];
     iw_wait = Array.make ws (-1, -1);
-    iw_budget = Array.make ws cfg.max_cycles_per_warp;
   }
 
 (* lanes (other than [except], not retired) still inside split (o, r) *)
@@ -1168,13 +1124,12 @@ let its_holders (iw : its_warp) (ws : int) (o : int) (r : int)
   done;
   !n
 
-(** Run one warp under ITS until every lane is retired or parked at a
-    barrier. *)
-let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
-    (iw : its_warp) : unit =
+(** MinPC scheduler: issue for the runnable lane group at the minimal
+    (pc, ip); a split opens a per-lane entry that pops at the
+    reconvergence point.  Runs the warp until every lane is retired or
+    parked at a barrier. *)
+let run_warp_its (ctx : launch_ctx) (w : warp) (iw : its_warp) : unit =
   let ws = ctx.cfg.warp_size in
-  let dbs = ctx.fctx.dblocks in
-  let m = ctx.metrics in
   let gmask = Array.make ws false in
   (* wake every lane parked on (o, r) — the split has fully drained (or
      the warp would otherwise stall) *)
@@ -1186,26 +1141,8 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
       end
     done
   in
-  let reconverge_event o r =
-    m.reconvergences <- m.reconvergences + 1;
-    ctx.br_reconv.(o) <- ctx.br_reconv.(o) + 1;
-    if ctx.cfg.obs <> None then begin
-      let joined = Array.make ws false in
-      for l = 0 to ws - 1 do
-        joined.(l) <-
-          iw.iw_stat.(l) <> L_done && iw.iw_pc.(l) = r
-      done;
-      obs_warp ctx w "warp.reconverge"
-        [
-          ("block", Tr.Str dbs.(r).db_name);
-          ("branch_id", Tr.Str dbs.(o).db_name);
-          ("active", Tr.Int (popcount joined));
-          ("mask", Tr.Str (mask_hex joined));
-        ]
-    end
-  in
   (* at a block entry, pop every open split whose reconvergence point
-     is this block; with [its_reconv_wait] park for straggling siblings *)
+     is this block, parking for straggling siblings *)
   let process_pops lane =
     let continue_ = ref true in
     while !continue_ && iw.iw_stat.(lane) = L_run do
@@ -1214,10 +1151,12 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
           iw.iw_div.(lane) <- rest;
           if its_holders iw ws o r lane = 0 then begin
             (* last lane out of the split: this is the reconvergence *)
-            reconverge_event o r;
+            reconverged ctx w ~origin:o ~at:r (fun () ->
+                Array.init ws (fun l ->
+                    iw.iw_stat.(l) <> L_done && iw.iw_pc.(l) = r));
             wake o r
           end
-          else if p.its_reconv_wait then begin
+          else begin
             iw.iw_stat.(lane) <- L_wait;
             iw.iw_wait.(lane) <- (o, r)
           end
@@ -1228,6 +1167,13 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
     iw.iw_pc.(lane) <- bi;
     iw.iw_ip.(lane) <- 0
   in
+  let any st =
+    let found = ref false in
+    for l = 0 to ws - 1 do
+      if iw.iw_stat.(l) = st then found := true
+    done;
+    !found
+  in
   let running = ref true in
   while !running do
     (* reconvergence pops happen at block entry, before any issue (also
@@ -1235,13 +1181,6 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
     for l = 0 to ws - 1 do
       if iw.iw_stat.(l) = L_run && iw.iw_ip.(l) = 0 then process_pops l
     done;
-    let any st =
-      let found = ref false in
-      for l = 0 to ws - 1 do
-        if iw.iw_stat.(l) = st then found := true
-      done;
-      !found
-    in
     if not (any L_run) then begin
       if any L_wait then
         (* liveness backstop: no runnable lane — release every parked
@@ -1278,129 +1217,31 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
         if iw.iw_stat.(l) = L_run || iw.iw_stat.(l) = L_wait then
           incr alive
       done;
-      let db = dbs.(pc) in
-      let code = db.db_code in
-      if ip >= Array.length code then
-        errf "block %s has no terminator" db.db_name;
-      (match ctx.cfg.trace with
-      | Some emit when ip = 0 ->
-          emit
-            (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-               w.tid_base !gsize)
-      | _ -> ());
-      (* attribution: the group leader's innermost open split wins (the
-         stack model's innermost-frame rule); the split's cost in idle
-         lanes is every live lane the group leaves behind *)
+      (* attribution: the group leader's innermost open split; the
+         split's cost in idle lanes is every live lane the group leaves
+         behind *)
       let origin =
         match iw.iw_div.(!leader) with e :: _ -> e.le_origin | [] -> -1
       in
-      let fr =
-        { pc; ip; rpc = -1; mask = gmask; origin; f_lost = !alive - !gsize }
+      let outcome =
+        issue ctx w ~mask:gmask ~origin ~f_lost:(!alive - !gsize) ~pc ~ip
       in
-      if ip = 0 then exec_phis ctx w fr db;
-      let d = Array.unsafe_get code ip in
       for l = 0 to ws - 1 do
-        if gmask.(l) then begin
-          if iw.iw_budget.(l) <= 0 then
-            errf "cycle budget exhausted in lane %d (runaway loop?)"
-              (w.tid_base + l);
-          iw.iw_budget.(l) <- iw.iw_budget.(l) - 1
-        end
-      done;
-      if d.d_term then begin
-        account ctx d fr;
-        match d.d_op with
-        | Op.Ret ->
-            for l = 0 to ws - 1 do
-              if gmask.(l) then iw.iw_stat.(l) <- L_done
-            done
-        | Op.Br ->
-            set_pred_for_mask w gmask pc;
-            for l = 0 to ws - 1 do
-              if gmask.(l) then arrive l d.d_succ.(0)
-            done
-        | Op.Condbr ->
-            let cond = d.d_ops.(0) in
-            let tcount = ref 0 and fcount = ref 0 in
-            for l = 0 to ws - 1 do
-              if gmask.(l) then
-                if as_bool "condbr" (eval_dop ctx w l cond) then
-                  incr tcount
-                else incr fcount
-            done;
-            set_pred_for_mask w gmask pc;
-            if !fcount = 0 then
-              for l = 0 to ws - 1 do
-                if gmask.(l) then arrive l d.d_succ.(0)
-              done
-            else if !tcount = 0 then
-              for l = 0 to ws - 1 do
-                if gmask.(l) then arrive l d.d_succ.(1)
-              done
-            else begin
-              (* the group splits: open a per-lane divergence entry;
-                 lanes rejoin at the IPDOM (or opportunistically
-                 earlier when their PCs coincide) *)
-              m.divergent_branches <- m.divergent_branches + 1;
-              ctx.br_div.(pc) <- ctx.br_div.(pc) + 1;
-              let rpc = db.db_ipdom in
-              if ctx.cfg.obs <> None then begin
-                let tmask = Array.make ws false in
-                let fmask = Array.make ws false in
-                for l = 0 to ws - 1 do
-                  if gmask.(l) then
-                    if as_bool "condbr" (eval_dop ctx w l cond) then
-                      tmask.(l) <- true
-                    else fmask.(l) <- true
-                done;
-                obs_warp ctx w "warp.diverge"
-                  [
-                    ("block", Tr.Str db.db_name);
-                    ("branch_id", Tr.Str db.db_name);
-                    ("t_active", Tr.Int !tcount);
-                    ("f_active", Tr.Int !fcount);
-                    ("t_mask", Tr.Str (mask_hex tmask));
-                    ("f_mask", Tr.Str (mask_hex fmask));
-                    ( "reconverge",
-                      Tr.Str
-                        (if rpc >= 0 then dbs.(rpc).db_name else "<none>")
-                    );
-                  ]
-              end;
-              for l = 0 to ws - 1 do
-                if gmask.(l) then begin
-                  iw.iw_div.(l) <-
-                    { le_origin = pc; le_rpc = rpc } :: iw.iw_div.(l);
-                  if as_bool "condbr" (eval_dop ctx w l cond) then
-                    arrive l d.d_succ.(0)
-                  else arrive l d.d_succ.(1)
-                end
-              done
-            end
-        | _ ->
-            errf "run_warp_its: %s is not a terminator"
-              (Op.to_string d.d_op)
-      end
-      else if d.d_op = Op.Syncthreads then begin
-        account ctx d fr;
-        m.barriers <- m.barriers + 1;
-        obs_warp ctx w "warp.barrier"
-          [
-            ("block", Tr.Str db.db_name); ("active", Tr.Int !gsize);
-          ];
-        for l = 0 to ws - 1 do
-          if gmask.(l) then begin
-            iw.iw_stat.(l) <- L_barrier;
-            iw.iw_ip.(l) <- ip + 1
-          end
-        done
-      end
-      else begin
-        exec_instr ctx w fr d;
-        for l = 0 to ws - 1 do
-          if gmask.(l) then iw.iw_ip.(l) <- ip + 1
-        done
-      end
+        if gmask.(l) then
+          match outcome with
+          | Next -> iw.iw_ip.(l) <- ip + 1
+          | Jump b -> arrive l b
+          | Split { t_pc; f_pc; t_mask; rpc; _ } ->
+              (* lanes rejoin at the IPDOM, or opportunistically earlier
+                 when their PCs coincide *)
+              iw.iw_div.(l) <-
+                { le_origin = pc; le_rpc = rpc } :: iw.iw_div.(l);
+              arrive l (if t_mask.(l) then t_pc else f_pc)
+          | Barrier ->
+              iw.iw_stat.(l) <- L_barrier;
+              iw.iw_ip.(l) <- ip + 1
+          | Exit -> iw.iw_stat.(l) <- L_done
+      done
     end
   done;
   w.status <-
@@ -1430,6 +1271,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
   let phi_stage =
     Array.init (max fctx.max_phis 1) (fun _ -> Array.make ws Rundef)
   in
+  let taken = Array.make ws false in
   let nblocks = Array.length fctx.dblocks in
   let br_div = Array.make nblocks 0 in
   let br_cycles = Array.make nblocks 0 in
@@ -1480,6 +1322,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
         seg_scratch;
         bank_scratch;
         phi_stage;
+        taken;
         br_div;
         br_cycles;
         br_lost;
@@ -1497,31 +1340,30 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       }
     in
     let nwarps = (launch.block_dim + ws - 1) / ws in
+    let live wi = min ws (launch.block_dim - (wi * ws)) in
+    let budget = config.max_cycles_per_warp in
     let warps =
       Array.init nwarps (fun wi ->
-          let tid_base = wi * ws in
-          let live = min ws (launch.block_dim - tid_base) in
-          let mask = Array.init ws (fun l -> l < live) in
+          let mask = Array.init ws (fun l -> l < live wi) in
           {
-            tid_base;
+            tid_base = wi * ws;
             regs = Array.init fctx.nslots (fun _ -> Array.make ws Rundef);
             pred = Array.make ws (-1);
             stack =
               [ { pc = 0; ip = 0; rpc = -1; mask; origin = -1; f_lost = 0 } ];
             status = Running;
+            guard =
+              (match config.reconvergence with
+              | Stack -> Per_warp { left = budget }
+              | Its () -> Per_lane (Array.make ws budget));
           })
     in
     (* per-lane scheduling state, allocated only under ITS *)
-    let its_p =
-      match config.reconvergence with Stack -> None | Its p -> Some p
-    in
     let its_warps =
-      match its_p with
-      | None -> [||]
-      | Some _ ->
-          Array.init nwarps (fun wi ->
-              let live = min ws (launch.block_dim - (wi * ws)) in
-              make_its_warp config ~live)
+      match config.reconvergence with
+      | Stack -> [||]
+      | Its () ->
+          Array.init nwarps (fun wi -> make_its_warp config ~live:(live wi))
     in
     (* phase execution: run every warp to its next barrier or the end;
        release the barrier when all non-finished warps have reached it *)
@@ -1535,9 +1377,9 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       Array.iteri
         (fun wi w ->
           if w.status = Running then
-            match its_p with
-            | None -> run_warp ctx w
-            | Some p -> run_warp_its ctx p w its_warps.(wi))
+            match config.reconvergence with
+            | Stack -> run_warp ctx w
+            | Its () -> run_warp_its ctx w its_warps.(wi))
         warps;
       (* all running warps have now either finished or hit a barrier *)
       let at_barrier =
@@ -1548,9 +1390,9 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
           (fun wi w ->
             if w.status = At_barrier then begin
               w.status <- Running;
-              match its_p with
-              | None -> ()
-              | Some _ ->
+              match config.reconvergence with
+              | Stack -> ()
+              | Its () ->
                   let iw = its_warps.(wi) in
                   for l = 0 to ws - 1 do
                     if iw.iw_stat.(l) = L_barrier then

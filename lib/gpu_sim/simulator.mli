@@ -55,25 +55,20 @@ val default_hier_params : hier_params
 type mem_model = Flat | Hier of hier_params
 
 (** Parameters of independent thread scheduling. *)
-type its_params = {
-  its_reconv_wait : bool;
-      (** convergence-optimizer barrier: a lane reaching a split's
-          reconvergence point (the branch's IPDOM) parks until the
-          sibling lanes of that split arrive, restoring maximal
-          convergence on structured code (Volta's reconvergence
-          optimizer).  Deadlock-free by construction: whenever no lane
-          of a warp is runnable, every parked lane is released, so
-          siblings stuck at a [syncthreads] or exited via [ret] can
-          never wedge the warp.  [false] reconverges purely
-          opportunistically. *)
-}
+type its_params
 
-(** [{ its_reconv_wait = true }] — the convergence-optimized variant. *)
+(** The only value: ITS with the convergence optimizer — a lane
+    reaching a split's reconvergence point (the branch's IPDOM) parks
+    until the sibling lanes of that split arrive, restoring maximal
+    convergence on structured code.  Deadlock-free by construction:
+    whenever no lane of a warp is runnable, every parked lane is
+    released, so siblings stuck at a [syncthreads] or exited via [ret]
+    can never wedge the warp. *)
 val default_its_params : its_params
 
 (** Reconvergence model selector: [Stack] is the IPDOM SIMT
     reconvergence stack — bit-for-bit the original behaviour, pinned by
-    the golden cycle counts of [test/suite_reconvergence.ml]; [Its] is
+    the golden cycle counts of [test/testlib.ml]; [Its] is
     Volta-style independent thread scheduling: every lane carries its
     own PC and run state, the warp scheduler issues for the runnable
     lane group sharing the minimal (pc, instruction) each cycle
@@ -92,16 +87,13 @@ type config = {
   warp_size : int;  (** 64 = an AMD wavefront *)
   latency : Darm_analysis.Latency.config;
   max_cycles_per_warp : int;
-      (** runaway-loop guard: issue budget per warp under [Stack],
-          per lane under [Its] (so lane interleaving never trips it
-          earlier than lock-step execution would) *)
+      (** runaway-loop guard: an issue budget for the warp's lifetime in
+          its thread block, checked before every issue and charged by
+          every issue, barriers included.  Owned by the warp under
+          [Stack], by each lane under [Its] (so lane interleaving never
+          trips it earlier than lock-step execution would). *)
   mem_model : mem_model;  (** default [Flat] *)
   reconvergence : reconvergence;  (** default [Stack] *)
-  trace : (string -> unit) option;
-      (** legacy string-trace compatibility shim (kept for
-          [darm_opt trace]): called once per executed basic block with
-          "block=<name> warp=<tid_base> mask=<popcount>".  New tooling
-          should use [obs] below — the structured replacement. *)
   obs : Darm_obs.Trace.t option;
       (** structured divergence timeline: one [warp.diverge] /
           [warp.reconverge] / [warp.barrier] instant per warp split,

@@ -142,6 +142,8 @@ grep -q '"reconvergence":"its"' /tmp/darm_report_bit_its.json
 dune exec bin/darm_opt.exe -- simulate --kernel SB3 --mem-model hier \
   --reconvergence its > /tmp/darm_sim_hier_its.txt
 grep -q 'output correct' /tmp/darm_sim_hier_its.txt
+# darm_opt trace prints the divergence timeline (grep -c reads it all)
+dune exec bin/darm_opt.exe -- trace -k BIT | grep -c '"warp.diverge"' > /dev/null
 rm -f /tmp/darm_report_rc_stack.txt /tmp/darm_report_rc_dflt.txt \
   /tmp/darm_report_its_j1.txt /tmp/darm_report_its_j4.txt \
   /tmp/darm_report_bit_its.json /tmp/darm_sim_hier_its.txt

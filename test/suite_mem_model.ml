@@ -25,40 +25,14 @@ let hier = Sim.Hier Sim.default_hier_params
 (* ------------------------------------------------------------------ *)
 (* Flat byte-identity *)
 
-(* (tag, block size, base cycles, DARM cycles) under E.run defaults
-   (seed 2022, each kernel's default n), recorded on the commit before
-   the hierarchical model was introduced.  The Flat path shares all its
-   accounting code with Hier, so any drift here means the "pure
-   addition" claim broke. *)
-let golden_flat =
-  [
-    ("SB1", 64, 114816, 72064);
-    ("SB2", 64, 96998, 63538);
-    ("SB3", 64, 210662, 121906);
-    ("SB1-R", 64, 115328, 79744);
-    ("SB2-R", 64, 133142, 105384);
-    ("SB3-R", 64, 209190, 129070);
-    ("LUD", 16, 544000, 272640);
-    ("BIT", 64, 215776, 145408);
-    ("DCT", 64, 24576, 22656);
-    ("MS", 64, 215585, 198612);
-  ]
-
+(* The default configuration (flat memory, SIMT stack) against the
+   stack column of the shared golden table ({!Testlib.golden_cycles}),
+   recorded before the hierarchical model was introduced.  The Flat
+   path shares all its accounting code with Hier, so any drift here
+   means the "pure addition" claim broke. *)
 let test_flat_golden_cycles () =
-  List.iter
-    (fun (tag, block_size, base_cycles, opt_cycles) ->
-      match Registry.find tag with
-      | None -> Alcotest.failf "golden kernel %s not registered" tag
-      | Some k ->
-          let r = E.run k ~block_size in
-          Alcotest.(check bool) (tag ^ " correct") true r.E.correct;
-          Alcotest.(check int)
-            (Printf.sprintf "%s/bs%d base cycles" tag block_size)
-            base_cycles r.E.base.M.cycles;
-          Alcotest.(check int)
-            (Printf.sprintf "%s/bs%d DARM cycles" tag block_size)
-            opt_cycles r.E.opt.M.cycles)
-    golden_flat
+  Testlib.check_golden_stack ~what:"default" (fun k ~block_size ->
+      E.run k ~block_size)
 
 (* Under Flat the hierarchy's counters must stay silent: nothing is
    classified, nothing stalls, and mem_cycles never exceeds the total. *)

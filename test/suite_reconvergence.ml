@@ -16,6 +16,8 @@
 
 module E = Darm_harness.Experiment
 module Report = Darm_harness.Report
+module Profile = Darm_harness.Profile
+module Export = Darm_obs.Export
 module Registry = Darm_kernels.Registry
 module Kernel = Darm_kernels.Kernel
 module Memory = Darm_sim.Memory
@@ -32,48 +34,42 @@ let hier = Sim.Hier Sim.default_hier_params
 (* ------------------------------------------------------------------ *)
 (* Stack byte-identity *)
 
-(* (tag, block size, base cycles, DARM cycles) under E.run defaults
-   (seed 2022, each kernel's default n), recorded on the commit before
-   reconvergence became pluggable.  The same table pins the flat memory
-   model in suite_mem_model.ml; any drift here means the stack path was
-   not a pure refactor. *)
-let golden_stack =
-  [
-    ("SB1", 64, 114816, 72064);
-    ("SB2", 64, 96998, 63538);
-    ("SB3", 64, 210662, 121906);
-    ("SB1-R", 64, 115328, 79744);
-    ("SB2-R", 64, 133142, 105384);
-    ("SB3-R", 64, 209190, 129070);
-    ("LUD", 16, 544000, 272640);
-    ("BIT", 64, 215776, 145408);
-    ("DCT", 64, 24576, 22656);
-    ("MS", 64, 215585, 198612);
-  ]
-
+(* The explicit [~reconvergence:Stack] spelling against the stack
+   column of the shared golden table ({!Testlib.golden_cycles}),
+   recorded before reconvergence became pluggable.  suite_mem_model.ml
+   pins the default configuration to the same column, so together the
+   two tests prove explicit Stack = default. *)
 let test_stack_golden_cycles () =
+  Testlib.check_golden_stack ~what:"stack" (fun k ~block_size ->
+      E.run ~reconvergence:Sim.Stack k ~block_size)
+
+(* The ITS columns of the same table: base/DARM cycles plus the
+   divergence counters of both runs, so a change to MinPC scheduling,
+   split recording or reconvergence accounting shows up even where the
+   cycles happen to agree with the stack model. *)
+let test_its_golden () =
   List.iter
-    (fun (tag, block_size, base_cycles, opt_cycles) ->
+    (fun (tag, block_size, _, its_base, its_opt) ->
       match Registry.find tag with
       | None -> Alcotest.failf "golden kernel %s not registered" tag
       | Some k ->
-          let r = E.run ~reconvergence:Sim.Stack k ~block_size in
-          Alcotest.(check bool) (tag ^ " correct") true r.E.correct;
-          Alcotest.(check int)
-            (Printf.sprintf "%s/bs%d base cycles" tag block_size)
-            base_cycles r.E.base.M.cycles;
-          Alcotest.(check int)
-            (Printf.sprintf "%s/bs%d DARM cycles" tag block_size)
-            opt_cycles r.E.opt.M.cycles;
-          (* the explicit spelling and the default must be the same run *)
-          let d = E.run k ~block_size in
-          Alcotest.(check int)
-            (tag ^ " explicit Stack = default, base")
-            d.E.base.M.cycles r.E.base.M.cycles;
-          Alcotest.(check int)
-            (tag ^ " explicit Stack = default, opt")
-            d.E.opt.M.cycles r.E.opt.M.cycles)
-    golden_stack
+          let r = E.run ~reconvergence:its k ~block_size in
+          Alcotest.(check bool) (tag ^ " its correct") true r.E.correct;
+          List.iter
+            (fun (side, (m : M.t), (cycles, splits, reconv, lost)) ->
+              let name what =
+                Printf.sprintf "its %s/bs%d %s %s" tag block_size side what
+              in
+              Alcotest.(check int) (name "cycles") cycles m.M.cycles;
+              Alcotest.(check int)
+                (name "divergent_branches")
+                splits m.M.divergent_branches;
+              Alcotest.(check int) (name "reconvergences") reconv
+                m.M.reconvergences;
+              Alcotest.(check int) (name "lost_lane_cycles") lost
+                m.M.lost_lane_cycles)
+            [ ("base", r.E.base, its_base); ("DARM", r.E.opt, its_opt) ])
+    Testlib.golden_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Attribution identities (both models) *)
@@ -324,12 +320,51 @@ let test_per_lane_budget () =
   | _ -> Alcotest.fail "stack budget should exhaust on the serialized arms"
   | exception Sim.Sim_error _ -> ())
 
+(* Three issues per warp, once straight-line and once through a
+   barrier: the guard is checked before every issue and every issue
+   charges it, barriers included, so a budget of exactly three
+   completes and a budget of two trips under both models. *)
+let three_issue_kernels =
+  [
+    ( "uniform",
+      {|
+kernel @three(%a: ptr(global), %b: ptr(global)) {
+entry:
+  %0 = thread.idx
+  %1 = add %0, 1
+  ret
+}
+|} );
+    ( "barrier",
+      {|
+kernel @three_sync(%a: ptr(global), %b: ptr(global)) {
+entry:
+  %0 = thread.idx
+  syncthreads
+  ret
+}
+|} );
+  ]
+
 let test_runaway_guard_both_models () =
   List.iter
     (fun (model, rc) ->
-      match exec ~reconvergence:rc ~max_cycles:10_000 runaway_kernel with
+      (match exec ~reconvergence:rc ~max_cycles:10_000 runaway_kernel with
       | _ -> Alcotest.failf "%s: runaway loop must trip the guard" model
-      | exception Sim.Sim_error _ -> ())
+      | exception Sim.Sim_error _ -> ());
+      List.iter
+        (fun (shape, text) ->
+          (match exec ~reconvergence:rc ~max_cycles:3 text with
+          | _ -> ()
+          | exception Sim.Sim_error e ->
+              Alcotest.failf "%s %s: budget = issue count must complete: %s"
+                model shape e);
+          match exec ~reconvergence:rc ~max_cycles:2 text with
+          | _ ->
+              Alcotest.failf "%s %s: budget = issue count - 1 must trip" model
+                shape
+          | exception Sim.Sim_error _ -> ())
+        three_issue_kernels)
     [ ("stack", Sim.Stack); ("its", its) ]
 
 (* ------------------------------------------------------------------ *)
@@ -357,6 +392,38 @@ let test_its_report_byte_identical_across_jobs () =
   Alcotest.(check string) "its text jobs 1 = 4" t1 t4;
   Alcotest.(check string) "its json jobs 1 = 2" j1 j2;
   Alcotest.(check string) "its json jobs 1 = 4" j1 j4
+
+(* ------------------------------------------------------------------ *)
+(* Timeline bytes *)
+
+(* MD5 of the JSONL timeline that [darm_opt simulate -k BIT
+   --reconvergence R [--mem-model hier] --trace-out F --format jsonl]
+   writes (block size 128, the DARM pass), recorded before the two
+   reconvergence models shared one issue core.  Pins every
+   warp.diverge / warp.reconverge / warp.barrier / mem.inflight
+   emission: its order, timestamp and attributes. *)
+let test_timeline_digests () =
+  let k =
+    match Registry.find "BIT" with
+    | Some k -> k
+    | None -> Alcotest.fail "BIT not registered"
+  in
+  List.iter
+    (fun (what, mem_model, reconvergence, digest) ->
+      let tr, _ =
+        Profile.run_point ~seed:2022 ~mem_model ~reconvergence
+          ~transform:(fun tr -> Profile.darm_obs_transform tr)
+          k ~block_size:128
+      in
+      Alcotest.(check string)
+        (what ^ " timeline md5")
+        digest
+        (Digest.to_hex (Digest.string (Export.to_jsonl tr))))
+    [
+      ("stack", Sim.Flat, Sim.Stack, "93e5b5a838ccbb8e9b8cafe00eca347c");
+      ("its", Sim.Flat, its, "424bdca35dd0725557adc40589ed13ff");
+      ("hier x its", hier, its, "5760d371901a7221540fca5d36afaed2");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-model differential on generated kernels *)
@@ -410,6 +477,8 @@ let suites =
       [
         Alcotest.test_case "stack: golden cycles pinned" `Slow
           test_stack_golden_cycles;
+        Alcotest.test_case "its: golden cycles and counters pinned" `Slow
+          test_its_golden;
         Alcotest.test_case "attribution identities under both models" `Quick
           test_attr_identities_both_models;
         Alcotest.test_case "non-divergent kernels cost identical cycles"
@@ -422,6 +491,8 @@ let suites =
           `Quick test_runaway_guard_both_models;
         Alcotest.test_case "its: report byte-identical across jobs" `Slow
           test_its_report_byte_identical_across_jobs;
+        Alcotest.test_case "timeline bytes pinned (stack, its, hier x its)"
+          `Quick test_timeline_digests;
         test_xmodel_generated;
         Alcotest.test_case "hier x its: composition invariants" `Quick
           test_hier_its_composition;

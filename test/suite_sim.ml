@@ -289,13 +289,14 @@ let test_bank_conflicts () =
   Alcotest.(check int) "no conflicts at stride 1" 0 m1.Metrics.bank_conflicts;
   check "stride 32 conflicts heavily" true (m32.Metrics.bank_conflicts > 50)
 
-(* execution trace shows divergent serialization *)
+(* the divergence timeline shows the diamond's serialization: one split
+   into two 32-lane arms, and the arms rejoining at the split's
+   reconvergence point *)
 let test_trace_shows_serialization () =
+  let module Tr = Darm_obs.Trace in
   let f = Testlib.diamond_func () in
-  let events = ref [] in
-  let config =
-    { Sim.default_config with trace = Some (fun s -> events := s :: !events) }
-  in
+  let tr = Tr.create () in
+  let config = { Sim.default_config with obs = Some tr } in
   let n = 64 in
   let g = Memory.create ~space:Memory.Sp_global (2 * n) in
   let input = Array.init n (fun i -> if i mod 2 = 0 then i + 1 else -i - 1) in
@@ -303,16 +304,26 @@ let test_trace_shows_serialization () =
   let dst = Memory.alloc g n in
   ignore (Sim.run ~config f ~args:[| src; dst |] ~global:g
             { Sim.grid_dim = 1; block_dim = n });
-  let events = List.rev !events in
-  (* both arms of the diamond must appear, each with a 32-lane mask *)
-  let has sub = List.exists (fun e ->
-      let n = String.length e and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub e i m = sub || go (i+1)) in
-      go 0) events
-  in
-  check "true arm traced" true (has "if.then");
-  check "false arm traced" true (has "if.else");
-  check "half masks" true (has "mask=32")
+  let named name = List.filter (fun e -> e.Tr.ev_name = name) (Tr.events tr) in
+  let arg e k = List.assoc k e.Tr.ev_args in
+  let int_arg e k = match arg e k with Tr.Int v -> v | _ -> -1 in
+  match (named "warp.diverge", named "warp.reconverge") with
+  | [ d ], (_ :: _ as rs) ->
+      check_int "t_active" 32 (int_arg d "t_active");
+      check_int "f_active" 32 (int_arg d "f_active");
+      List.iter
+        (fun r ->
+          check "reconverge names the split" true
+            (arg r "branch_id" = arg d "branch_id");
+          check "reconverge at the split's IPDOM" true
+            (arg r "block" = arg d "reconverge"))
+        rs;
+      check_int "both arms rejoin" 64
+        (List.fold_left (fun a r -> a + int_arg r "active") 0 rs)
+  | ds, rs ->
+      Alcotest.failf
+        "expected one warp.diverge and its reconvergence, got %d and %d"
+        (List.length ds) (List.length rs)
 
 let suites =
   [

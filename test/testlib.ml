@@ -125,3 +125,61 @@ let run_rk_seeds ?(cfg = rk_small_cfg) ?(block_size = 64) ~name ~transform
   | fs ->
       Alcotest.failf "%s: %d failure(s):\n%s" name (List.length fs)
         (String.concat "\n" fs)
+
+(* ------------------------------------------------------------------ *)
+(* Golden cycle pins shared by the memory- and reconvergence-model     *)
+(* suites                                                              *)
+
+(** One registry point under [Experiment.run] defaults (seed 2022, the
+    kernel's default n): [(tag, block size, stack, its_base, its_opt)].
+    [stack] is (base, DARM) cycles under flat memory with the SIMT
+    stack, recorded before the hierarchical memory model and ITS
+    existed.  [its_base]/[its_opt] pin (cycles, divergent_branches,
+    reconvergences, lost_lane_cycles) of the base and DARM runs under
+    flat memory with ITS, recorded before the two reconvergence models
+    shared one issue core.  ITS cycles equal the stack's everywhere but
+    BIT's DARM run, whose melded barriers are accounted per arriving
+    lane group. *)
+let golden_cycles =
+  [
+    ( "SB1", 64, (114816, 72064),
+      (114816, 512, 512, 2654208), (72064, 0, 0, 0) );
+    ( "SB2", 64, (96998, 63538),
+      (96998, 646, 646, 2267659), (63538, 70, 70, 204097) );
+    ( "SB3", 64, (210662, 121906),
+      (210662, 652, 652, 5905387), (121906, 76, 76, 204589) );
+    ( "SB1-R", 64, (115328, 79744),
+      (115328, 512, 512, 2670592), (79744, 1024, 1024, 147456) );
+    ( "SB2-R", 64, (133142, 105384),
+      (133142, 1086, 1086, 4366409), (105384, 644, 644, 2616329) );
+    ( "SB3-R", 64, (209190, 129070),
+      (209190, 652, 652, 5859311), (129070, 1228, 1228, 461673) );
+    ( "LUD", 16, (544000, 272640),
+      (544000, 128, 128, 4346880), (272640, 128, 128, 3072) );
+    ( "BIT", 64, (215776, 145408),
+      (215776, 2304, 2304, 9111846), (168592, 2304, 1632, 4776302) );
+    ( "DCT", 64, (24576, 22656),
+      (24576, 64, 64, 163842), (22656, 192, 192, 16392) );
+    ( "MS", 64, (215585, 198612),
+      (215585, 819, 819, 12723408), (198612, 819, 819, 11633008) );
+  ]
+
+(** Run every golden point with [run] and check its base/DARM cycles
+    against the [stack] column. *)
+let check_golden_stack ~what
+    (run : Kernel.t -> block_size:int -> Darm_harness.Experiment.result) =
+  let module E = Darm_harness.Experiment in
+  List.iter
+    (fun (tag, block_size, (base, opt), _, _) ->
+      match Darm_kernels.Registry.find tag with
+      | None -> Alcotest.failf "golden kernel %s not registered" tag
+      | Some k ->
+          let r = run k ~block_size in
+          let name field =
+            Printf.sprintf "%s %s/bs%d %s" what tag block_size field
+          in
+          Alcotest.(check bool) (name "correct") true r.E.correct;
+          Alcotest.(check int) (name "base cycles") base
+            r.E.base.Metrics.cycles;
+          Alcotest.(check int) (name "DARM cycles") opt r.E.opt.Metrics.cycles)
+    golden_cycles
