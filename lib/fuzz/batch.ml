@@ -10,7 +10,6 @@ module PS = Darm_harness.Parallel_sweep
 module E = Darm_harness.Experiment
 module Kernel = Darm_kernels.Kernel
 module Registry = Darm_kernels.Registry
-module Memory = Darm_sim.Memory
 module Simulator = Darm_sim.Simulator
 module Metrics = Darm_sim.Metrics
 module Checker = Darm_checks.Checker
@@ -261,30 +260,6 @@ let payload ~name ~kind ~block_size ~n ~status ?(check_ids = [])
        @ match detail with None -> [] | Some d -> [ ("detail", J.Str d) ]))
   ^ "\n"
 
-(* run a fuzz kernel over the two-array workload (same discipline as
-   Oracle.exec: deterministic inputs from the seed, warp size 64) *)
-let exec_fuzz ~(n : int) ~(block_size : int) ~(input_seed : int)
-    (f : Ssa.func) : Metrics.t * Memory.rv array =
-  let a_init = Kernel.random_int_array ~seed:(input_seed + 1) ~n ~bound:1000 in
-  let b_init = Kernel.random_int_array ~seed:(input_seed + 2) ~n ~bound:1000 in
-  let global = Memory.create ~space:Memory.Sp_global (2 * n) in
-  let pa = Memory.alloc_of_int_array global a_init in
-  let pb = Memory.alloc_of_int_array global b_init in
-  let config =
-    { Simulator.default_config with max_cycles_per_warp = 10_000_000 }
-  in
-  let launch =
-    { Simulator.grid_dim = max 1 (n / block_size); block_dim = block_size }
-  in
-  let m = Simulator.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
-  in
-  (m, out)
-
 let check_ids_of report =
   List.map (fun (d : Diag.t) -> d.Diag.id) (Checker.errors report)
   |> List.sort_uniq compare
@@ -303,14 +278,15 @@ let compute_fuzz ~(cfg : Gen.cfg) ~(seed : int) ~(block_size : int)
       (mk ~status:"check-failed" ~check_ids:ids ~correct:false (), 0.)
   | [] ->
       let ts0 = Unix.gettimeofday () in
-      let base_m, base_out = exec_fuzz ~n ~block_size ~input_seed:seed f0 in
+      let exec = Oracle.exec ~n ~block_size ~input_seed:seed ~warp_size:64 in
+      let base_m, base_out = exec f0 in
       let sim0 = (Unix.gettimeofday () -. ts0) *. 1000. in
       let f1 = Gen.generate ~cfg ~seed () in
       let t0 = Unix.gettimeofday () in
       let stats = Pass.run f1 in
       let pass_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let ts1 = Unix.gettimeofday () in
-      let opt_m, opt_out = exec_fuzz ~n ~block_size ~input_seed:seed f1 in
+      let opt_m, opt_out = exec f1 in
       let sim_ms = sim0 +. ((Unix.gettimeofday () -. ts1) *. 1000.) in
       let correct =
         Kernel.rv_array_equal base_out opt_out

@@ -1,14 +1,15 @@
-(** Feature-flagged structured kernel generator — the adversarial input
-    source of the conformance subsystem.
+(** Feature-flagged structured kernel generator — the repo's one source
+    of generated kernels, for the conformance subsystem and the
+    differential test suites alike.
 
-    Extends {!Darm_kernels.Random_kernel}'s loop-free diamonds with the
-    hazard classes the checkers and the melding pass actually have to
-    survive: bounded loops with uniform and thread-dependent (divergent)
-    trip counts, correctly-guarded [syncthreads] phases, shared-memory
-    tiles with affine tid addressing, nested and sequential diamonds,
-    and switch-like comparison ladders.  Each feature sits behind a
-    {!features} flag so a checker suite can target exactly its own
-    hazard class.
+    Every kernel has divergent diamonds over random arithmetic.  On top
+    of them come the hazard classes the checkers and the melding pass
+    have to survive: bounded loops with uniform and thread-dependent
+    (divergent) trip counts, correctly-guarded [syncthreads] phases,
+    shared-memory tiles with affine tid addressing, nested and
+    sequential diamonds, and switch-like comparison ladders.  Each
+    feature sits behind a {!features} flag so a checker suite can
+    target exactly its own hazard class.
 
     Race-freedom discipline (what makes the differential oracle sound):
     divergent code only {e reads} shared memory and only writes the
@@ -60,9 +61,20 @@ val smoke_cfg : cfg
     deterministic in [(seed, cfg)]. *)
 val generate : ?cfg:cfg -> seed:int -> unit -> Ssa.func
 
-(** Build a runnable instance around a generated kernel (inputs are
-    seeded deterministically from [seed]; the [reference] accessor is
-    empty — differential testing uses the untransformed run as the
-    oracle). *)
+(** The workload every generated kernel runs on, around any kernel
+    over [(a, ptr global); (b, ptr global)]: two [n]-cell arrays laid
+    out [a|b], filled from [input_seed + 1] and [input_seed + 2] with
+    values below 1000, on a [max 1 (n / block_size)]-block grid.
+    [read_result] is the [a|b] image; [reference] is empty (the
+    untransformed run is the oracle). *)
+val launch :
+  n:int ->
+  block_size:int ->
+  input_seed:int ->
+  Ssa.func ->
+  Darm_kernels.Kernel.instance
+
+(** [launch] around [generate ~cfg ~seed ()], with [n = cfg.array_size]
+    and [input_seed = seed]. *)
 val instance :
   ?cfg:cfg -> seed:int -> block_size:int -> unit -> Darm_kernels.Kernel.instance

@@ -140,15 +140,9 @@ let failure_to_string f =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let exec ?(reconvergence = Simulator.Stack) subject (f : Ssa.func)
-    ~(warp_size : int) : Metrics.t * Memory.rv array =
-  let n = subject.sb_n in
-  let seed = subject.sb_input_seed in
-  let a_init = Kernel.random_int_array ~seed:(seed + 1) ~n ~bound:1000 in
-  let b_init = Kernel.random_int_array ~seed:(seed + 2) ~n ~bound:1000 in
-  let global = Memory.create ~space:Memory.Sp_global (2 * n) in
-  let pa = Memory.alloc_of_int_array global a_init in
-  let pb = Memory.alloc_of_int_array global b_init in
+let exec ?(reconvergence = Simulator.Stack) ~n ~block_size ~input_seed
+    ~warp_size (f : Ssa.func) : Metrics.t * Memory.rv array =
+  let inst = Gen.launch ~n ~block_size ~input_seed f in
   let config =
     {
       Simulator.default_config with
@@ -157,20 +151,11 @@ let exec ?(reconvergence = Simulator.Stack) subject (f : Ssa.func)
       reconvergence;
     }
   in
-  let launch =
-    {
-      Simulator.grid_dim = max 1 (n / subject.sb_block_size);
-      block_dim = subject.sb_block_size;
-    }
+  let m =
+    Simulator.run ~config f ~args:inst.Kernel.args ~global:inst.Kernel.global
+      inst.Kernel.launch
   in
-  let m = Simulator.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
-  in
-  (m, out)
+  (m, inst.Kernel.read_result ())
 
 (* the independent-thread-scheduling model used by the cross-model
    differential legs below *)
@@ -259,6 +244,10 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
       :: !failures
   in
   let done_ () = List.rev !failures in
+  let sim ?reconvergence f ~warp_size =
+    exec ?reconvergence ~n:subject.sb_n ~block_size:subject.sb_block_size
+      ~input_seed:subject.sb_input_seed ~warp_size f
+  in
   match subject.sb_fresh () with
   | exception e ->
       fail "base" "crash" (Printexc.to_string e);
@@ -281,7 +270,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                 (String.concat "; " (List.map Diag.to_string ds));
               done_ ()
           | [] -> (
-              match exec subject f0 ~warp_size:64 with
+              match sim f0 ~warp_size:64 with
               | exception e ->
                   fail "base" "crash" (Printexc.to_string e);
                   done_ ()
@@ -290,7 +279,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                   List.iter
                     (fun ws ->
                       if ws <> 64 then
-                        match exec subject f0 ~warp_size:ws with
+                        match sim f0 ~warp_size:ws with
                         | exception e ->
                             fail "base" "crash"
                               (Printf.sprintf "warp=%d: %s" ws
@@ -310,10 +299,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                      memory image at every warp size *)
                   List.iter
                     (fun ws ->
-                      match
-                        exec ~reconvergence:its_model subject f0
-                          ~warp_size:ws
-                      with
+                      match sim ~reconvergence:its_model f0 ~warp_size:ws with
                       | exception e ->
                           fail "base" "crash"
                             (Printf.sprintf "its warp=%d: %s" ws
@@ -359,7 +345,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                               let opt_m = ref None in
                               List.iter
                                 (fun ws ->
-                                  match exec subject ft ~warp_size:ws with
+                                  match sim ft ~warp_size:ws with
                                   | exception e ->
                                       fail st.st_name "crash"
                                         (Printf.sprintf "warp=%d: %s" ws
@@ -381,7 +367,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                               List.iter
                                 (fun ws ->
                                   match
-                                    exec ~reconvergence:its_model subject ft
+                                    sim ~reconvergence:its_model ft
                                       ~warp_size:ws
                                   with
                                   | exception e ->

@@ -103,6 +103,19 @@ val failure_to_string : failure -> string
 
 (** {2 Running} *)
 
+(** Run [f] once on {!Gen.launch}'s workload at [warp_size] under
+    [reconvergence] (default the SIMT stack) with a 10M-cycle runaway
+    guard per warp; returns the metrics and the final [a|b] image.  The
+    matrix below, the batch driver and the test suites all run here. *)
+val exec :
+  ?reconvergence:Darm_sim.Simulator.reconvergence ->
+  n:int ->
+  block_size:int ->
+  input_seed:int ->
+  warp_size:int ->
+  Ssa.func ->
+  Darm_sim.Metrics.t * Darm_sim.Memory.rv array
+
 (** Run one subject through the matrix; [[]] means fully conformant.
     [warps] (default {!warp_sizes}) narrows the schedule sweep — the
     shrinker passes [[64]] so each candidate costs two simulations

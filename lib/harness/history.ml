@@ -7,11 +7,6 @@ module E = Experiment
 
 let schema = "darm-bench-hist-v2"
 
-(* previous version, still parsed for one version window (the
-   version-bump policy in doc/schemas.md): v1 lines carry no
-   mem_model fields, which default to "flat" on load *)
-let schema_v1 = "darm-bench-hist-v1"
-
 let default_path = "BENCH_history.jsonl"
 
 type env = {
@@ -203,7 +198,7 @@ let get_float j k =
   | Some (J.Int i) -> Ok (float_of_int i)
   | _ -> Error (Printf.sprintf "missing number field %S" k)
 
-(* a string field absent from pre-v2 lines *)
+(* a string field absent from pre-ITS v2 lines *)
 let get_str_default j k ~default =
   match J.member k j with Some (J.Str s) -> s | _ -> default
 
@@ -220,7 +215,7 @@ let env_of_json (j : J.t) : (env, string) result =
   let* word_size = get_int j "word_size" in
   let* warp_size = get_int j "warp_size" in
   let* jobs = get_int j "jobs" in
-  let mem_model = get_str_default j "mem_model" ~default:"flat" in
+  let* mem_model = get_str j "mem_model" in
   let reconvergence = get_str_default j "reconvergence" ~default:"stack" in
   Ok
     {
@@ -237,7 +232,7 @@ let entry_of_json (j : J.t) : (entry, string) result =
   let* e_kernel = get_str j "kernel" in
   let* e_block_size = get_int j "block_size" in
   let* e_transform = get_str j "transform" in
-  let e_mem_model = get_str_default j "mem_model" ~default:"flat" in
+  let* e_mem_model = get_str j "mem_model" in
   let e_reconvergence = get_str_default j "reconvergence" ~default:"stack" in
   let* e_rewrites = get_int j "rewrites" in
   let* e_base_cycles = get_int j "base_cycles" in
@@ -273,7 +268,7 @@ let batch_of_json (j : J.t) : (batch, string) result =
 
 let record_of_json (j : J.t) : (record, string) result =
   let* s = get_str j "schema" in
-  if s <> schema && s <> schema_v1 then
+  if s <> schema then
     Error (Printf.sprintf "schema mismatch: expected %S, got %S" schema s)
   else
     let* r_time = get_float j "time" in

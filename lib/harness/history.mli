@@ -121,10 +121,11 @@ val of_batch : ?jobs:int -> time:float -> batch -> record
 
 val record_to_json : record -> Darm_obs.Json.t
 
-(** Parse one history line; checks the [schema] key.  Accepts
-    [darm-bench-hist-v1] lines for one version window — their missing
-    [mem_model] fields default to ["flat"].  Missing [reconvergence]
-    fields (v1 and pre-ITS v2 lines alike) default to ["stack"]. *)
+(** Parse one history line; checks the [schema] key.  Only
+    [darm-bench-hist-v2] lines load: the one-version window for
+    [darm-bench-hist-v1] lines is closed, and they fail with the
+    schema-mismatch error.  Missing [reconvergence] fields (pre-ITS v2
+    lines) default to ["stack"]. *)
 val record_of_json : Darm_obs.Json.t -> (record, string) result
 
 (** Append one line to the history file (creating it if needed). *)

@@ -177,11 +177,11 @@ val compute_many :
 val to_text : t -> string
 val to_markdown : t -> string
 
-(** Single-report JSON document: [{"schema":"darm-report-v1",...}]. *)
+(** Single-report JSON document: [{"schema":"darm-report-v2",...}]. *)
 val to_json : t -> Darm_obs.Json.t
 
 (** Multi-report document:
-    [{"schema":"darm-report-v1","reports":[...]}]. *)
+    [{"schema":"darm-report-v2","reports":[...]}]. *)
 val many_to_json : t list -> Darm_obs.Json.t
 
 (** Export both runs' counters into a metrics registry, labelled

@@ -84,15 +84,16 @@ fi
 rm -f "$hist_its_inflated"
 
 # divergence attribution: the report must be byte-identical for any
-# --jobs count, and must join melds with per-branch counters
+# --jobs count, and must join melds with per-branch counters (the keys
+# of the --json document are checked by the "report: JSON document
+# keys" test case)
 dune exec bin/darm_opt.exe -- report --all -j 1 > /tmp/darm_report_j1.txt
 dune exec bin/darm_opt.exe -- report --all -j 4 > /tmp/darm_report_j4.txt
 cmp /tmp/darm_report_j1.txt /tmp/darm_report_j4.txt
 grep -q 'per-meld attribution' /tmp/darm_report_j1.txt
 dune exec bin/darm_opt.exe -- report --kernel BIT --block-size 64 --json \
   > /tmp/darm_report_bit.json
-grep -q '"schema":"darm-report-v2"' /tmp/darm_report_bit.json
-grep -q '"cycles_saved"' /tmp/darm_report_bit.json
+test -s /tmp/darm_report_bit.json
 rm -f /tmp/darm_report_j1.txt /tmp/darm_report_j4.txt /tmp/darm_report_bit.json
 
 # memory-model observability: the default model is flat and spelling
@@ -111,16 +112,12 @@ cmp /tmp/darm_report_hier_j1.txt /tmp/darm_report_hier_j4.txt
 grep -q 'memory (hier model)' /tmp/darm_report_hier_j1.txt
 grep -q 'non-memory residual' /tmp/darm_report_hier_j1.txt
 dune exec bin/darm_opt.exe -- report --kernel BIT --block-size 64 \
-  --mem-model hier --json > /tmp/darm_report_bit_hier.json
-grep -q '"mem_model":"hier"' /tmp/darm_report_bit_hier.json
-grep -q '"mem_sites"' /tmp/darm_report_bit_hier.json
-dune exec bin/darm_opt.exe -- report --kernel BIT --block-size 64 \
   --mem-model hier --metrics-out /tmp/darm_metrics_hier.json
 grep -q 'sim_l1_hits_total' /tmp/darm_metrics_hier.json
 grep -q 'sim_site_cycles_total' /tmp/darm_metrics_hier.json
 rm -f /tmp/darm_report_flat.txt /tmp/darm_report_dflt.txt \
   /tmp/darm_report_hier_j1.txt /tmp/darm_report_hier_j4.txt \
-  /tmp/darm_report_bit_hier.json /tmp/darm_metrics_hier.json
+  /tmp/darm_metrics_hier.json
 
 # reconvergence models (doc/simulation.md): the default is the SIMT
 # stack and spelling it out changes nothing; independent thread
@@ -136,9 +133,6 @@ dune exec bin/darm_opt.exe -- report --all --reconvergence its -j 4 \
   > /tmp/darm_report_its_j4.txt
 cmp /tmp/darm_report_its_j1.txt /tmp/darm_report_its_j4.txt
 grep -q 'its reconvergence' /tmp/darm_report_its_j1.txt
-dune exec bin/darm_opt.exe -- report --kernel BIT --block-size 64 \
-  --reconvergence its --json > /tmp/darm_report_bit_its.json
-grep -q '"reconvergence":"its"' /tmp/darm_report_bit_its.json
 dune exec bin/darm_opt.exe -- simulate --kernel SB3 --mem-model hier \
   --reconvergence its > /tmp/darm_sim_hier_its.txt
 grep -q 'output correct' /tmp/darm_sim_hier_its.txt
@@ -146,7 +140,7 @@ grep -q 'output correct' /tmp/darm_sim_hier_its.txt
 dune exec bin/darm_opt.exe -- trace -k BIT | grep -c '"warp.diverge"' > /dev/null
 rm -f /tmp/darm_report_rc_stack.txt /tmp/darm_report_rc_dflt.txt \
   /tmp/darm_report_its_j1.txt /tmp/darm_report_its_j4.txt \
-  /tmp/darm_report_bit_its.json /tmp/darm_sim_hier_its.txt
+  /tmp/darm_sim_hier_its.txt
 
 # sanity checkers: every registry kernel must be diagnostic-clean both
 # before and after melding (non-zero exit on any error diagnostic), and

@@ -282,6 +282,44 @@ let test_report_metrics_export () =
   Alcotest.(check bool) "per-branch series present" true
     (contains doc "sim_branch_divergences_total{")
 
+(* The document [darm_opt report --kernel BIT --block-size 64 --json]
+   prints, parsed back, under the default models, the hierarchical
+   memory model and independent thread scheduling. *)
+let test_report_json_document () =
+  let module Sim = Darm_sim.Simulator in
+  let doc ?mem_model ?reconvergence () =
+    let r =
+      Report.compute ?mem_model ?reconvergence (kernel "BIT") ~block_size:64
+    in
+    match J.parse (J.to_string (Report.to_json r)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+  in
+  let has j key v =
+    Alcotest.(check bool) (key ^ " = " ^ J.to_string v) true
+      (J.member key j = Some v)
+  in
+  let non_empty j key =
+    match J.member key j with
+    | Some (J.List (_ :: _ as l)) -> l
+    | _ -> Alcotest.failf "%S is not a non-empty list" key
+  in
+  let dflt = doc () in
+  has dflt "schema" (J.Str "darm-report-v2");
+  has dflt "mem_model" (J.Str "flat");
+  has dflt "reconvergence" (J.Str "stack");
+  List.iter
+    (fun row ->
+      match J.member "cycles_saved" row with
+      | Some (J.Int _) -> ()
+      | _ -> Alcotest.fail "meld row without an integer cycles_saved")
+    (non_empty dflt "melds");
+  let hier = doc ~mem_model:(Sim.Hier Sim.default_hier_params) () in
+  has hier "mem_model" (J.Str "hier");
+  ignore (non_empty hier "mem_sites");
+  has (doc ~reconvergence:(Sim.Its Sim.default_its_params) ())
+    "reconvergence" (J.Str "its")
+
 (* ------------------------------------------------------------------ *)
 (* Bench history + regression sentinel *)
 
@@ -321,19 +359,22 @@ let test_history_json_round_trip () =
         (r'.History.r_wall_s = r.History.r_wall_s)
 
 let test_history_rejects_wrong_schema () =
-  let j =
+  let with_schema tag =
     match History.record_to_json (record [ entry "BIT" 64 2 1 ]) with
     | J.Obj fields ->
         J.Obj
           (List.map
-             (fun (k, v) ->
-               if k = "schema" then (k, J.Str "darm-bogus-v9") else (k, v))
+             (fun (k, v) -> if k = "schema" then (k, J.Str tag) else (k, v))
              fields)
     | _ -> Alcotest.fail "record_to_json must yield an object"
   in
-  match History.record_of_json j with
-  | Ok _ -> Alcotest.fail "wrong schema must be rejected"
-  | Error _ -> ()
+  (* v1's one-version window is closed *)
+  List.iter
+    (fun tag ->
+      match History.record_of_json (with_schema tag) with
+      | Ok _ -> Alcotest.failf "schema %s must be rejected" tag
+      | Error _ -> ())
+    [ "darm-bogus-v9"; "darm-bench-hist-v1" ]
 
 let test_history_file_round_trip () =
   let path = Filename.temp_file "darm_hist_test" ".jsonl" in
@@ -459,6 +500,8 @@ let suites =
           test_report_zero_divergence;
         Alcotest.test_case "report: metrics export" `Quick
           test_report_metrics_export;
+        Alcotest.test_case "report: JSON document keys" `Quick
+          test_report_json_document;
       ] );
     ( "bench-history",
       [

@@ -206,6 +206,17 @@ let smoke_specs ~count =
         { fz_seed = i; fz_block_size = 64; fz_smoke = true;
           fz_features = "all"; fz_inject = None })
 
+(* drop the one wall-clock field so recomputed runs compare *)
+let scrub s =
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         match J.parse line with
+         | Ok (J.Obj fields) ->
+             J.to_string
+               (J.Obj (List.filter (fun (k, _) -> k <> "pass_ms") fields))
+         | _ -> line)
+  |> String.concat "\n"
+
 let test_batch_two_pass_warm_hits () =
   let dir = temp_dir () in
   let cache = Cache.create ~dir:(Filename.concat dir "cache") () in
@@ -244,20 +255,37 @@ let test_batch_damaged_cache_recomputes () =
   let again = B.run ~jobs:1 ~cache ~out specs in
   Alcotest.(check int) "cleared cache recomputes" 2 again.B.bt_misses;
   Alcotest.(check int) "no errors from the damage" 0 again.B.bt_errors;
-  (* drop the one wall-clock field so the recomputed runs compare *)
-  let scrub s =
-    String.split_on_char '\n' s
-    |> List.map (fun line ->
-           match J.parse line with
-           | Ok (J.Obj fields) ->
-               J.to_string
-                 (J.Obj (List.filter (fun (k, _) -> k <> "pass_ms") fields))
-           | _ -> line)
-    |> String.concat "\n"
-  in
   Alcotest.(check string) "recomputed bytes identical modulo pass_ms"
     (scrub bytes0)
     (scrub (Fsio.read_file out))
+
+(* The absolute payloads of the default fuzz manifest's first four
+   specs: the generator, Gen.launch's input convention and the oracle's
+   simulator configuration all show in these numbers. *)
+let test_batch_fuzz_payloads_pinned () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "m.jsonl" in
+  let out = Filename.concat dir "r.jsonl" in
+  B.write_fuzz_manifest ~path ~count:4 ();
+  ignore (B.run ~jobs:1 ~out (Result.get_ok (B.read_manifest path)));
+  let pinned (name, rewrites, base, opt, div_base, div_opt) =
+    Printf.sprintf
+      "{\"schema\":\"darm-batchres-v1\",\"name\":\"%s\",\"kind\":\"fuzz\",\
+       \"block_size\":64,\"n\":128,\"status\":\"ok\",\"check_errors\":0,\
+       \"check_ids\":[],\"rewrites\":%d,\"base_cycles\":%d,\
+       \"opt_cycles\":%d,\"divergent_branches_base\":%d,\
+       \"divergent_branches_opt\":%d,\"correct\":true}"
+      name rewrites base opt div_base div_opt
+  in
+  Alcotest.(check (list string)) "payloads modulo pass_ms"
+    (List.map pinned
+       [
+         ("fuzz_0", 1, 7137, 7140, 21, 25);
+         ("fuzz_1", 2, 3569, 3545, 12, 22);
+         ("fuzz_2", 1, 4160, 3986, 6, 6);
+         ("fuzz_3", 0, 2608, 2608, 0, 0);
+       ])
+    (String.split_on_char '\n' (String.trim (scrub (Fsio.read_file out))))
 
 let test_batch_budget_cuts_deterministically () =
   let dir = temp_dir () in
@@ -456,6 +484,8 @@ let suites =
           test_batch_two_pass_warm_hits;
         Alcotest.test_case "damaged cache recomputes" `Slow
           test_batch_damaged_cache_recomputes;
+        Alcotest.test_case "fuzz payloads pinned (fuzz_0..fuzz_3)" `Quick
+          test_batch_fuzz_payloads_pinned;
         Alcotest.test_case "budget cuts before the first chunk" `Quick
           test_batch_budget_cuts_deterministically;
         Alcotest.test_case "error specs are never cached" `Quick

@@ -1,4 +1,4 @@
-(* Differential fuzzing: random structured divergent kernels must
+(* Differential fuzzing: generated structured divergent kernels must
    behave identically before and after every transformation.  The
    untransformed simulation is the oracle, so this covers the whole
    pipeline end to end with no hand-written expectations.
@@ -7,16 +7,18 @@
    with the generative-conformance suites (suite_gen, suite_shrink,
    suite_corpus). *)
 
-module RK = Darm_kernels.Random_kernel
 module K = Darm_kernels.Kernel
 module C = Darm_core
 module CK = Darm_checks
 open Testlib
 
-let small_cfg = rk_small_cfg
-
 let run_seeds ~name ~transform ~seeds () =
-  run_rk_seeds ~cfg:small_cfg ~name ~transform ~seeds ()
+  run_gen_seeds ~name ~transform ~seeds ()
+
+(* the plain shape without the shared tile *)
+let no_shared_cfg =
+  { gen_small_cfg with
+    features = { Gen.no_features with loops_uniform = true } }
 
 let suites =
   [
@@ -41,23 +43,18 @@ let suites =
         Alcotest.test_case "darm, deep nesting" `Quick
           (fun () ->
             let deep =
-              { RK.default_cfg with array_size = 128; max_depth = 4;
-                stmts_per_block = 2 }
+              { gen_small_cfg with max_depth = 4; stmts_per_block = 2 }
             in
-            run_rk_seeds ~cfg:deep ~name:"deep" ~transform:darm
+            run_gen_seeds ~cfg:deep ~name:"deep" ~transform:darm
               ~seeds:(seeds 300 314) ());
         Alcotest.test_case "darm, no shared memory" `Quick
           (fun () ->
-            let cfg =
-              { RK.default_cfg with array_size = 128; max_depth = 2;
-                use_shared = false }
-            in
-            run_rk_seeds ~cfg ~name:"no-shared" ~transform:darm
+            run_gen_seeds ~cfg:no_shared_cfg ~name:"no-shared" ~transform:darm
               ~seeds:(seeds 320 334) ());
         Alcotest.test_case "darm, partial warp (block 32 on warp 64)"
           `Quick
           (fun () ->
-            run_rk_seeds ~cfg:small_cfg ~block_size:32 ~name:"partial-warp"
+            run_gen_seeds ~block_size:32 ~name:"partial-warp"
               ~transform:darm ~seeds:(seeds 340 354) ());
         Alcotest.test_case "alignment pairing on random kernels" `Quick
           (fun () ->
@@ -67,7 +64,7 @@ let suites =
                    ~config:{ C.Pass.default_config with pairing = C.Pass.Alignment }
                    ~verify_each:true f)
             in
-            run_rk_seeds ~cfg:small_cfg ~name:"alignment" ~transform
+            run_gen_seeds ~name:"alignment" ~transform
               ~seeds:(seeds 360 374) ());
         Alcotest.test_case "checker cross-validation vs schedule" `Quick
           (fun () ->
@@ -80,10 +77,7 @@ let suites =
                sizes 64, 16 and 4, both before and after melding (run
                with Vfail validation, so the TV hook is exercised on
                random kernels too). *)
-            let cfg =
-              { RK.default_cfg with array_size = 128; max_depth = 2;
-                use_shared = false }
-            in
+            let cfg = no_shared_cfg in
             let meld f =
               ignore
                 (C.Pass.run
@@ -92,7 +86,7 @@ let suites =
             in
             List.iter
               (fun seed ->
-                let f0 = RK.generate ~cfg ~seed () in
+                let f0 = Gen.generate ~cfg ~seed () in
                 let report = CK.Checker.check_func f0 in
                 if CK.Checker.has_errors report then
                   Alcotest.failf "seed %d: checker errors:\n%s" seed
@@ -103,7 +97,7 @@ let suites =
                     (CK.Race_check.verdict_to_string
                        report.CK.Checker.verdict);
                 (* melding must not mint new checker errors either *)
-                let fm = RK.generate ~cfg ~seed () in
+                let fm = Gen.generate ~cfg ~seed () in
                 meld fm;
                 let after = CK.Checker.check_func fm in
                 (match CK.Checker.new_errors ~before:report ~after with
@@ -113,15 +107,11 @@ let suites =
                       (String.concat "\n"
                          (List.map CK.Diag.to_string news)));
                 let outputs ~melded ws =
-                  let inst = RK.instance ~cfg ~seed ~block_size:64 () in
-                  if melded then meld inst.K.func;
-                  let config =
-                    { Darm_sim.Simulator.default_config with warp_size = ws }
-                  in
-                  ignore
-                    (Darm_sim.Simulator.run ~config inst.K.func
-                       ~args:inst.K.args ~global:inst.K.global inst.K.launch);
-                  inst.K.read_result ()
+                  let f = Gen.generate ~cfg ~seed () in
+                  if melded then meld f;
+                  snd
+                    (Darm_fuzz.Oracle.exec ~n:cfg.Gen.array_size
+                       ~block_size:64 ~input_seed:seed ~warp_size:ws f)
                 in
                 List.iter
                   (fun melded ->
@@ -142,7 +132,7 @@ let suites =
           (fun () ->
             List.iter
               (fun seed ->
-                let f = RK.generate ~cfg:small_cfg ~seed () in
+                let f = Gen.generate ~cfg:gen_small_cfg ~seed () in
                 let text = Darm_ir.Printer.func_to_string f in
                 match Darm_ir.Parser.parse_func text with
                 | Ok f2 ->

@@ -5,7 +5,7 @@
 open Darm_ir
 module Seq = Darm_align.Sequence
 module A = Darm_analysis
-module RK = Darm_kernels.Random_kernel
+module Gen = Darm_fuzz.Gen
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -92,9 +92,10 @@ let test_sw_never_negative =
 
 (* --- invariants of the analyses over random kernels --- *)
 
-let gen_cfg = { RK.default_cfg with array_size = 64; max_depth = 2; stmts_per_block = 2 }
+let gen_cfg =
+  { Testlib.gen_small_cfg with array_size = 64; stmts_per_block = 2 }
 
-let random_func seed = RK.generate ~cfg:gen_cfg ~seed ()
+let random_func seed = Gen.generate ~cfg:gen_cfg ~seed ()
 
 let test_domtree_invariants =
   qcheck
@@ -191,14 +192,11 @@ let test_simulator_deterministic =
        QCheck2.Gen.small_int
        (fun seed ->
          let run () =
-           let inst = RK.instance ~cfg:gen_cfg ~seed ~block_size:64 () in
-           let m =
-             Darm_sim.Simulator.run inst.Darm_kernels.Kernel.func
-               ~args:inst.Darm_kernels.Kernel.args
-               ~global:inst.Darm_kernels.Kernel.global
-               inst.Darm_kernels.Kernel.launch
+           let m, out =
+             Darm_fuzz.Oracle.exec ~n:gen_cfg.Gen.array_size ~block_size:64
+               ~input_seed:seed ~warp_size:64 (random_func seed)
            in
-           (m.Darm_sim.Metrics.cycles, inst.Darm_kernels.Kernel.read_result ())
+           (m.Darm_sim.Metrics.cycles, out)
          in
          let c1, o1 = run () and c2, o2 = run () in
          c1 = c2 && Darm_kernels.Kernel.rv_array_equal o1 o2))

@@ -131,34 +131,16 @@ let parse text =
   | Ok f -> f
   | Error e -> Alcotest.failf "parse: %s" e
 
-(* Mirrors the fuzz oracle's launch convention: two global arrays with
-   deterministic contents, one block-per-128/64 launch. *)
+(* Gen.launch's two-array workload under this suite's own simulator
+   configuration. *)
 let exec ?(reconvergence = Sim.Stack) ?(max_cycles = 1_000_000)
     ?(block_size = 64) ?(n = 128) text : M.t * Memory.rv array =
-  let f = parse text in
-  let a_init = Kernel.random_int_array ~seed:11 ~n ~bound:1000 in
-  let b_init = Kernel.random_int_array ~seed:12 ~n ~bound:1000 in
-  let global = Memory.create ~space:Memory.Sp_global (2 * n) in
-  let pa = Memory.alloc_of_int_array global a_init in
-  let pb = Memory.alloc_of_int_array global b_init in
+  let inst = Gen.launch ~n ~block_size ~input_seed:10 (parse text) in
   let config =
-    {
-      Sim.default_config with
-      max_cycles_per_warp = max_cycles;
-      reconvergence;
-    }
+    { Sim.default_config with max_cycles_per_warp = max_cycles; reconvergence }
   in
-  let launch =
-    { Sim.grid_dim = max 1 (n / block_size); block_dim = block_size }
-  in
-  let m = Sim.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
-  in
-  (m, out)
+  let m = E.run_instance ~config inst in
+  (m, inst.Kernel.read_result ())
 
 (* ------------------------------------------------------------------ *)
 (* Non-divergent kernels: the models must agree cycle-for-cycle *)

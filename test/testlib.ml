@@ -70,7 +70,7 @@ let diamond_func () : Ssa.func =
 (* ------------------------------------------------------------------ *)
 (* Seed ranges and transform thunks shared by the fuzz-style suites    *)
 
-module RK = Darm_kernels.Random_kernel
+module Gen = Darm_fuzz.Gen
 module Tf = Darm_transforms
 
 (** [seeds lo hi] is the inclusive range [lo..hi]. *)
@@ -105,22 +105,46 @@ let everything f =
   ignore (Tf.Simplify_cfg.if_convert f);
   cleanups f
 
-let rk_small_cfg =
-  { RK.default_cfg with array_size = 128; max_depth = 2; stmts_per_block = 3 }
+(** Diamonds, uniform loops and a shared scratch tile read after one
+    barrier: the plain shape the differential suites fuzz. *)
+let gen_small_cfg =
+  {
+    Gen.default_cfg with
+    max_depth = 2;
+    stmts_per_block = 3;
+    features =
+      { Gen.no_features with loops_uniform = true; shared_tile = true };
+  }
 
-(** Run [transform] over [Random_kernel] instances for every seed;
-    collects all failures before reporting so one bad seed doesn't mask
-    the others. *)
-let run_rk_seeds ?(cfg = rk_small_cfg) ?(block_size = 64) ~name ~transform
+(** Run [transform] over generated kernels for every seed; each
+    transformed kernel must reproduce the untransformed run's output on
+    the same input.  Collects all failures before reporting so one bad
+    seed doesn't mask the others. *)
+let run_gen_seeds ?(cfg = gen_small_cfg) ?(block_size = 64) ~name ~transform
     ~seeds:seed_list () =
-  let failures = ref [] in
-  List.iter
-    (fun seed ->
-      match RK.check_transform ~cfg ~seed ~block_size ~transform () with
-      | Ok () -> ()
-      | Error e -> failures := e :: !failures)
-    seed_list;
-  match !failures with
+  let check seed =
+    let exec f =
+      snd
+        (Darm_fuzz.Oracle.exec ~n:cfg.Gen.array_size ~block_size
+           ~input_seed:seed ~warp_size:64 f)
+    in
+    let fail fmt =
+      Printf.ksprintf Option.some ("seed %d bs %d: " ^^ fmt) seed block_size
+    in
+    match
+      let f = Gen.generate ~cfg ~seed () in
+      transform f;
+      Verify.run_exn f;
+      (exec (Gen.generate ~cfg ~seed ()), exec f)
+    with
+    | exception e -> fail "%s" (Printexc.to_string e)
+    | base, opt ->
+        Option.bind (Kernel.first_mismatch base opt) (fun k ->
+            fail "outputs differ at index %d (%s vs %s)" k
+              (Kernel.rv_to_string base.(k))
+              (Kernel.rv_to_string opt.(k)))
+  in
+  match List.filter_map check seed_list with
   | [] -> ()
   | fs ->
       Alcotest.failf "%s: %d failure(s):\n%s" name (List.length fs)
