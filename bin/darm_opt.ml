@@ -500,10 +500,10 @@ let dot_cmd =
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ melded)
 
 let trace_cmd =
-  let run tag block_size n seed pass =
+  let run tag block_size n seed pass mem_model reconvergence =
     let tr, _ =
-      Profile.run_point ~seed ?n ~transform:(obs_transform_of_name pass)
-        (find_kernel tag) ~block_size
+      Profile.run_point ~seed ?n ~mem_model ~reconvergence
+        ~transform:(obs_transform_of_name pass) (find_kernel tag) ~block_size
     in
     print_string (Export.to_jsonl tr)
   in
@@ -513,9 +513,11 @@ let trace_cmd =
          "Print a kernel's structured divergence timeline as JSON Lines: \
           pass spans, then per-warp warp.diverge / warp.reconverge / \
           warp.barrier events of the baseline and transformed runs \
-          (the bytes simulate --trace-out F --format jsonl writes).")
+          (the bytes simulate --trace-out F --format jsonl writes under \
+          the same machine model).")
     Term.(
-      const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg)
+      const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg
+      $ mem_model_arg $ reconvergence_arg)
 
 let check_cmd =
   let all_flag =

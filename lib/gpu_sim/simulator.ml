@@ -359,18 +359,16 @@ type frame = {
 
 type warp_status = Running | At_barrier | Finished
 
-(** Runaway-loop guard: issues left before [Sim_error], for the warp's
-    lifetime in its thread block.  One budget per warp under [Stack],
-    one per lane under [Its]. *)
-type guard = Per_warp of { mutable left : int } | Per_lane of int array
-
 type warp = {
   tid_base : int;  (** thread index (within block) of lane 0 *)
   regs : rv array array;  (** flat register file: [slot].[lane] *)
   pred : int array;  (** per-lane predecessor block (dense), -1 = none *)
   mutable stack : frame list;  (** [Stack] only *)
   mutable status : warp_status;
-  guard : guard;
+  mutable left : int;
+      (** [Stack] only: the runaway guard, issues left before
+          [Sim_error] for the warp's lifetime in its thread block.  Under
+          [Its] each lane owns one ({!its_warp}). *)
 }
 
 (** Mutable state of the hierarchical memory model.  Reset at every
@@ -961,28 +959,12 @@ let exec_instr (ctx : launch_ctx) (w : warp) (d : dinstr) ~(mask : bool array)
 (* ------------------------------------------------------------------ *)
 (* The issue core and its two schedulers *)
 
-let charge_guard (w : warp) (mask : bool array) : unit =
-  match w.guard with
-  | Per_warp g ->
-      if g.left <= 0 then errf "cycle budget exhausted (runaway loop?)";
-      g.left <- g.left - 1
-  | Per_lane left ->
-      for l = 0 to Array.length mask - 1 do
-        if mask.(l) then begin
-          if left.(l) <= 0 then
-            errf "cycle budget exhausted in lane %d (runaway loop?)"
-              (w.tid_base + l);
-          left.(l) <- left.(l) - 1
-        end
-      done
-
-(** The issue step shared by both schedulers: charge the runaway guard,
-    then execute the instruction at [(pc, ip)] for the lanes of [mask] —
-    the block's phis first when [ip = 0] — and account it (see
-    {!exec_instr}). *)
+(** The issue step shared by both schedulers, which charge the runaway
+    guard before calling it: execute the instruction at [(pc, ip)] for
+    the lanes of [mask] — the block's phis first when [ip = 0] — and
+    account it (see {!exec_instr}). *)
 let issue (ctx : launch_ctx) (w : warp) ~(mask : bool array) ~(origin : int)
     ~(f_lost : int) ~(pc : int) ~(ip : int) : outcome =
-  charge_guard w mask;
   let db = ctx.fctx.dblocks.(pc) in
   if ip >= Array.length db.db_code then
     errf "block %s has no terminator" db.db_name;
@@ -1022,6 +1004,8 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
             frame.mask);
         w.stack <- rest
     | frame :: rest -> (
+        if w.left <= 0 then errf "cycle budget exhausted (runaway loop?)";
+        w.left <- w.left - 1;
         let pc = frame.pc in
         match
           issue ctx w ~mask:frame.mask ~origin:frame.origin
@@ -1077,67 +1061,112 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
    the per-branch and global lost-lane counters close exactly under
    both models. *)
 
-(** One open split a lane is inside of: the branch block that split the
-    warp and the reconvergence point where the entry pops.  A lane's
-    list is innermost-first, mirroring the stack model's frame
-    nesting. *)
-type lane_entry = { le_origin : int; le_rpc : int }
-
 type lane_status =
   | L_run
   | L_wait  (** parked at a reconvergence point for sibling lanes *)
   | L_barrier  (** parked at [syncthreads] *)
   | L_done
 
-(** Per-lane scheduling state of one warp under ITS. *)
+(** Per-lane scheduling state of one warp under ITS, all of it in arrays
+    of immediates allocated with the warp: no records or lists per issue
+    or per split.  An open split is named by its branch block (its
+    origin) alone: its reconvergence point is always that block's
+    [db_ipdom]. *)
 type its_warp = {
   iw_pc : int array;  (** per-lane dense block index *)
   iw_ip : int array;  (** per-lane index into [db_code] *)
   iw_stat : lane_status array;
-  iw_div : lane_entry list array;  (** open splits, innermost first *)
-  iw_wait : (int * int) array;
-      (** the (origin, rpc) a [L_wait] lane is parked on *)
+  iw_div : int array array;
+      (** per lane, the origins of its open splits, innermost at
+          [iw_depth.(l) - 1]; grown by doubling.  An origin can repeat:
+          a divergent loop latch re-splits every iteration before its
+          lanes reach the reconvergence point, and each copy pops (and
+          may count a reconvergence) on its own. *)
+  iw_depth : int array;
+  iw_wait : int array;  (** origin an [L_wait] lane is parked on, else -1 *)
+  iw_open : int array;
+      (** per branch block: how many entries with that origin the
+          non-retired lanes hold, so "does any other lane still hold
+          this split" is one subtraction *)
+  iw_left : int array;  (** per-lane runaway-guard budget *)
+  iw_group : bool array;  (** lane mask of the issuing group *)
 }
 
-let make_its_warp (cfg : config) ~(live : int) : its_warp =
+let make_its_warp (cfg : config) ~(nblocks : int) ~(live : int) : its_warp =
   let ws = cfg.warp_size in
   {
     iw_pc = Array.make ws 0;
     iw_ip = Array.make ws 0;
     iw_stat = Array.init ws (fun l -> if l < live then L_run else L_done);
-    iw_div = Array.make ws [];
-    iw_wait = Array.make ws (-1, -1);
+    iw_div = Array.make ws [||];
+    iw_depth = Array.make ws 0;
+    iw_wait = Array.make ws (-1);
+    iw_open = Array.make nblocks 0;
+    iw_left = Array.make ws cfg.max_cycles_per_warp;
+    iw_group = Array.make ws false;
   }
 
-(* lanes (other than [except], not retired) still inside split (o, r) *)
-let its_holders (iw : its_warp) (ws : int) (o : int) (r : int)
-    (except : int) : int =
-  let n = ref 0 in
-  for l = 0 to ws - 1 do
-    if
-      l <> except
-      && iw.iw_stat.(l) <> L_done
-      && List.exists
-           (fun e -> e.le_origin = o && e.le_rpc = r)
-           iw.iw_div.(l)
-    then incr n
+(* innermost open split of [lane], -1 when it has none *)
+let its_top (iw : its_warp) (lane : int) : int =
+  let d = iw.iw_depth.(lane) in
+  if d = 0 then -1 else iw.iw_div.(lane).(d - 1)
+
+let its_push (iw : its_warp) (lane : int) (origin : int) : unit =
+  let d = iw.iw_depth.(lane) in
+  if d = Array.length iw.iw_div.(lane) then begin
+    let grown = Array.make (max 4 (2 * d)) 0 in
+    Array.blit iw.iw_div.(lane) 0 grown 0 d;
+    iw.iw_div.(lane) <- grown
+  end;
+  iw.iw_div.(lane).(d) <- origin;
+  iw.iw_depth.(lane) <- d + 1;
+  iw.iw_open.(origin) <- iw.iw_open.(origin) + 1
+
+(* [lane] executed [ret]: it holds no split any more *)
+let its_retire (iw : its_warp) (lane : int) : unit =
+  let s = iw.iw_div.(lane) in
+  for k = 0 to iw.iw_depth.(lane) - 1 do
+    iw.iw_open.(s.(k)) <- iw.iw_open.(s.(k)) - 1
   done;
-  !n
+  iw.iw_depth.(lane) <- 0;
+  iw.iw_stat.(lane) <- L_done
+
+(* the first lane of [group] whose budget [charged] more issues exhaust *)
+let its_trip (w : warp) (iw : its_warp) ~(charged : int) : 'a =
+  let l = ref 0 in
+  while not (iw.iw_group.(!l) && iw.iw_left.(!l) - charged <= 0) do
+    incr l
+  done;
+  errf "cycle budget exhausted in lane %d (runaway loop?)" (w.tid_base + !l)
 
 (** MinPC scheduler: issue for the runnable lane group at the minimal
     (pc, ip); a split opens a per-lane entry that pops at the
     reconvergence point.  Runs the warp until every lane is retired or
-    parked at a barrier. *)
+    parked at a barrier.
+
+    A group keeps issuing without a rescan while it provably stays the
+    MinPC group: after a fall-through, or after a jump none of its lanes
+    pops at, whenever its new (pc, ip) is still below that of every
+    other runnable lane.  Its runaway guard is charged once per issue
+    against the group's smallest budget and written back per lane when
+    the group breaks up, which trips at the same issue and lane as
+    charging every lane every issue. *)
 let run_warp_its (ctx : launch_ctx) (w : warp) (iw : its_warp) : unit =
   let ws = ctx.cfg.warp_size in
-  let gmask = Array.make ws false in
-  (* wake every lane parked on (o, r) — the split has fully drained (or
-     the warp would otherwise stall) *)
-  let wake o r =
+  let dbs = ctx.fctx.dblocks in
+  let gmask = iw.iw_group in
+  (* set when a wake may have released a lane the pop scan had already
+     passed: its pops wait for the next scan, so the group must not
+     keep issuing past it *)
+  let woke = ref false in
+  (* wake every lane parked on split [o] — it has fully drained (or the
+     warp would otherwise stall) *)
+  let wake o =
     for l = 0 to ws - 1 do
-      if iw.iw_stat.(l) = L_wait && iw.iw_wait.(l) = (o, r) then begin
+      if iw.iw_stat.(l) = L_wait && iw.iw_wait.(l) = o then begin
         iw.iw_stat.(l) <- L_run;
-        iw.iw_wait.(l) <- (-1, -1)
+        iw.iw_wait.(l) <- -1;
+        woke := true
       end
     done
   in
@@ -1146,101 +1175,153 @@ let run_warp_its (ctx : launch_ctx) (w : warp) (iw : its_warp) : unit =
   let process_pops lane =
     let continue_ = ref true in
     while !continue_ && iw.iw_stat.(lane) = L_run do
-      match iw.iw_div.(lane) with
-      | { le_origin = o; le_rpc = r } :: rest when r = iw.iw_pc.(lane) ->
-          iw.iw_div.(lane) <- rest;
-          if its_holders iw ws o r lane = 0 then begin
-            (* last lane out of the split: this is the reconvergence *)
-            reconverged ctx w ~origin:o ~at:r (fun () ->
-                Array.init ws (fun l ->
-                    iw.iw_stat.(l) <> L_done && iw.iw_pc.(l) = r));
-            wake o r
-          end
-          else begin
-            iw.iw_stat.(lane) <- L_wait;
-            iw.iw_wait.(lane) <- (o, r)
-          end
-      | _ -> continue_ := false
+      let o = its_top iw lane and r = iw.iw_pc.(lane) in
+      if o >= 0 && dbs.(o).db_ipdom = r then begin
+        let d = iw.iw_depth.(lane) - 1 in
+        iw.iw_depth.(lane) <- d;
+        iw.iw_open.(o) <- iw.iw_open.(o) - 1;
+        let own = ref 0 in
+        for k = 0 to d - 1 do
+          if iw.iw_div.(lane).(k) = o then incr own
+        done;
+        if iw.iw_open.(o) = !own then begin
+          (* no other live lane holds the split: this is the
+             reconvergence *)
+          reconverged ctx w ~origin:o ~at:r (fun () ->
+              Array.init ws (fun l ->
+                  iw.iw_stat.(l) <> L_done && iw.iw_pc.(l) = r));
+          wake o
+        end
+        else begin
+          iw.iw_stat.(lane) <- L_wait;
+          iw.iw_wait.(lane) <- o
+        end
+      end
+      else continue_ := false
     done
   in
-  let arrive lane bi =
-    iw.iw_pc.(lane) <- bi;
-    iw.iw_ip.(lane) <- 0
-  in
-  let any st =
-    let found = ref false in
-    for l = 0 to ws - 1 do
-      if iw.iw_stat.(l) = st then found := true
-    done;
-    !found
+  (* does a lane of the group, whose innermost splits are all [ghead]
+     (-2 when they differ), pop on entering block [b]? *)
+  let group_pops ghead b =
+    if ghead >= 0 then dbs.(ghead).db_ipdom = b
+    else if ghead = -1 then false
+    else begin
+      let pops = ref false in
+      for l = 0 to ws - 1 do
+        if gmask.(l) then
+          let o = its_top iw l in
+          if o >= 0 && dbs.(o).db_ipdom = b then pops := true
+      done;
+      !pops
+    end
   in
   let running = ref true in
   while !running do
+    woke := false;
     (* reconvergence pops happen at block entry, before any issue (also
        covers lanes re-checked after a wake) *)
     for l = 0 to ws - 1 do
       if iw.iw_stat.(l) = L_run && iw.iw_ip.(l) = 0 then process_pops l
     done;
-    if not (any L_run) then begin
-      if any L_wait then
-        (* liveness backstop: no runnable lane — release every parked
-           lane (its sibling lanes are at a barrier, retired, or parked
-           themselves; the reconvergence-point wait must yield) *)
-        for l = 0 to ws - 1 do
-          if iw.iw_stat.(l) = L_wait then begin
-            iw.iw_stat.(l) <- L_run;
-            iw.iw_wait.(l) <- (-1, -1)
-          end
-        done
-      else running := false
-    end
-    else begin
-      (* MinPC: the runnable group with the minimal (pc, ip) *)
-      let leader = ref (-1) in
-      for l = 0 to ws - 1 do
-        if iw.iw_stat.(l) = L_run then
+    (* MinPC: the first runnable lane with the minimal (pc, ip) leads *)
+    let leader = ref (-1) and alive = ref 0 and parked = ref 0 in
+    for l = 0 to ws - 1 do
+      match iw.iw_stat.(l) with
+      | L_run ->
+          incr alive;
           if
             !leader < 0
             || iw.iw_pc.(l) < iw.iw_pc.(!leader)
             || (iw.iw_pc.(l) = iw.iw_pc.(!leader)
                && iw.iw_ip.(l) < iw.iw_ip.(!leader))
           then leader := l
-      done;
-      let pc = iw.iw_pc.(!leader) and ip = iw.iw_ip.(!leader) in
-      let gsize = ref 0 and alive = ref 0 in
+      | L_wait ->
+          incr alive;
+          incr parked
+      | L_barrier | L_done -> ()
+    done;
+    if !leader < 0 then begin
+      if !parked > 0 then
+        (* liveness backstop: no runnable lane — release every parked
+           lane (its sibling lanes are at a barrier, retired, or parked
+           themselves; the reconvergence-point wait must yield) *)
+        for l = 0 to ws - 1 do
+          if iw.iw_stat.(l) = L_wait then begin
+            iw.iw_stat.(l) <- L_run;
+            iw.iw_wait.(l) <- -1
+          end
+        done
+      else running := false
+    end
+    else begin
+      let pc = ref iw.iw_pc.(!leader) and ip = ref iw.iw_ip.(!leader) in
+      (* the group; the least (pc, ip) of the runnable lanes outside it;
+         the group's smallest budget; its lanes' common innermost split *)
+      let gsize = ref 0 and o_pc = ref max_int and o_ip = ref max_int in
+      let gleft = ref max_int and ghead = ref (-1) in
       for l = 0 to ws - 1 do
-        let in_group =
-          iw.iw_stat.(l) = L_run && iw.iw_pc.(l) = pc && iw.iw_ip.(l) = ip
-        in
-        gmask.(l) <- in_group;
-        if in_group then incr gsize;
-        if iw.iw_stat.(l) = L_run || iw.iw_stat.(l) = L_wait then
-          incr alive
+        gmask.(l) <- false;
+        if iw.iw_stat.(l) = L_run then
+          if iw.iw_pc.(l) = !pc && iw.iw_ip.(l) = !ip then begin
+            gmask.(l) <- true;
+            incr gsize;
+            if iw.iw_left.(l) < !gleft then gleft := iw.iw_left.(l);
+            let t = its_top iw l in
+            if !gsize = 1 then ghead := t else if t <> !ghead then ghead := -2
+          end
+          else if
+            iw.iw_pc.(l) < !o_pc
+            || (iw.iw_pc.(l) = !o_pc && iw.iw_ip.(l) < !o_ip)
+          then begin
+            o_pc := iw.iw_pc.(l);
+            o_ip := iw.iw_ip.(l)
+          end
       done;
       (* attribution: the group leader's innermost open split; the
          split's cost in idle lanes is every live lane the group leaves
          behind *)
-      let origin =
-        match iw.iw_div.(!leader) with e :: _ -> e.le_origin | [] -> -1
-      in
-      let outcome =
-        issue ctx w ~mask:gmask ~origin ~f_lost:(!alive - !gsize) ~pc ~ip
-      in
-      for l = 0 to ws - 1 do
-        if gmask.(l) then
+      let origin = its_top iw !leader and f_lost = !alive - !gsize in
+      let o_pc = !o_pc and o_ip = !o_ip in
+      let charged = ref 0 and last = ref Next and issuing = ref true in
+      while !issuing do
+        if !gleft - !charged <= 0 then its_trip w iw ~charged:!charged;
+        incr charged;
+        let outcome = issue ctx w ~mask:gmask ~origin ~f_lost ~pc:!pc ~ip:!ip in
+        last := outcome;
+        (* still the MinPC group at its new (pc, ip)? *)
+        let stays =
           match outcome with
-          | Next -> iw.iw_ip.(l) <- ip + 1
-          | Jump b -> arrive l b
-          | Split { t_pc; f_pc; t_mask; rpc; _ } ->
+          | Next ->
+              ip := !ip + 1;
+              !pc < o_pc || (!pc = o_pc && !ip < o_ip)
+          | Jump b ->
+              pc := b;
+              ip := 0;
+              (b < o_pc || (b = o_pc && 0 < o_ip))
+              && not (group_pops !ghead b)
+          | Split _ | Barrier | Exit -> false
+        in
+        issuing := stays && not !woke
+      done;
+      for l = 0 to ws - 1 do
+        if gmask.(l) then begin
+          iw.iw_left.(l) <- iw.iw_left.(l) - !charged;
+          match !last with
+          | Next | Jump _ ->
+              iw.iw_pc.(l) <- !pc;
+              iw.iw_ip.(l) <- !ip
+          | Split { t_pc; f_pc; t_mask; _ } ->
               (* lanes rejoin at the IPDOM, or opportunistically earlier
                  when their PCs coincide *)
-              iw.iw_div.(l) <-
-                { le_origin = pc; le_rpc = rpc } :: iw.iw_div.(l);
-              arrive l (if t_mask.(l) then t_pc else f_pc)
+              its_push iw l !pc;
+              iw.iw_pc.(l) <- (if t_mask.(l) then t_pc else f_pc);
+              iw.iw_ip.(l) <- 0
           | Barrier ->
               iw.iw_stat.(l) <- L_barrier;
-              iw.iw_ip.(l) <- ip + 1
-          | Exit -> iw.iw_stat.(l) <- L_done
+              iw.iw_pc.(l) <- !pc;
+              iw.iw_ip.(l) <- !ip + 1
+          | Exit -> its_retire iw l
+        end
       done
     end
   done;
@@ -1352,10 +1433,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
             stack =
               [ { pc = 0; ip = 0; rpc = -1; mask; origin = -1; f_lost = 0 } ];
             status = Running;
-            guard =
-              (match config.reconvergence with
-              | Stack -> Per_warp { left = budget }
-              | Its () -> Per_lane (Array.make ws budget));
+            left = budget;
           })
     in
     (* per-lane scheduling state, allocated only under ITS *)
@@ -1363,7 +1441,8 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       match config.reconvergence with
       | Stack -> [||]
       | Its () ->
-          Array.init nwarps (fun wi -> make_its_warp config ~live:(live wi))
+          Array.init nwarps (fun wi ->
+              make_its_warp config ~nblocks ~live:(live wi))
     in
     (* phase execution: run every warp to its next barrier or the end;
        release the barrier when all non-finished warps have reached it *)

@@ -138,9 +138,15 @@ dune exec bin/darm_opt.exe -- simulate --kernel SB3 --mem-model hier \
 grep -q 'output correct' /tmp/darm_sim_hier_its.txt
 # darm_opt trace prints the divergence timeline (grep -c reads it all)
 dune exec bin/darm_opt.exe -- trace -k BIT | grep -c '"warp.diverge"' > /dev/null
+# ... and under any machine model, the bytes simulate --trace-out writes
+dune exec bin/darm_opt.exe -- trace -k BIT --reconvergence its \
+  > /tmp/darm_trace_its.jsonl
+dune exec bin/darm_opt.exe -- simulate -k BIT --reconvergence its \
+  --trace-out /tmp/darm_sim_its.jsonl --format jsonl > /dev/null
+cmp /tmp/darm_trace_its.jsonl /tmp/darm_sim_its.jsonl
 rm -f /tmp/darm_report_rc_stack.txt /tmp/darm_report_rc_dflt.txt \
   /tmp/darm_report_its_j1.txt /tmp/darm_report_its_j4.txt \
-  /tmp/darm_sim_hier_its.txt
+  /tmp/darm_sim_hier_its.txt /tmp/darm_trace_its.jsonl /tmp/darm_sim_its.jsonl
 
 # sanity checkers: every registry kernel must be diagnostic-clean both
 # before and after melding (non-zero exit on any error diagnostic), and

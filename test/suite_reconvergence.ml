@@ -378,34 +378,75 @@ let test_its_report_byte_identical_across_jobs () =
 (* ------------------------------------------------------------------ *)
 (* Timeline bytes *)
 
-(* MD5 of the JSONL timeline that [darm_opt simulate -k BIT
+(* MD5 of the JSONL timeline that [darm_opt simulate -k K
    --reconvergence R [--mem-model hier] --trace-out F --format jsonl]
-   writes (block size 128, the DARM pass), recorded before the two
-   reconvergence models shared one issue core.  Pins every
-   warp.diverge / warp.reconverge / warp.barrier / mem.inflight
-   emission: its order, timestamp and attributes. *)
+   writes (block size 128, the DARM pass).  The BIT digests were
+   recorded before the two reconvergence models shared one issue core,
+   the PCM and SB1-R ones before the ITS scheduler's converged fast
+   path, when those two allocated the most per simulated cycle under
+   ITS of all evaluation kernels (253 and 188 minor words, BIT 155).
+   Pins every warp.diverge / warp.reconverge / warp.barrier /
+   mem.inflight emission: its order, timestamp and attributes. *)
 let test_timeline_digests () =
-  let k =
-    match Registry.find "BIT" with
-    | Some k -> k
-    | None -> Alcotest.fail "BIT not registered"
-  in
   List.iter
-    (fun (what, mem_model, reconvergence, digest) ->
+    (fun (tag, what, mem_model, reconvergence, digest) ->
+      let k =
+        match Registry.find tag with
+        | Some k -> k
+        | None -> Alcotest.fail (tag ^ " not registered")
+      in
       let tr, _ =
         Profile.run_point ~seed:2022 ~mem_model ~reconvergence
           ~transform:(fun tr -> Profile.darm_obs_transform tr)
           k ~block_size:128
       in
       Alcotest.(check string)
-        (what ^ " timeline md5")
+        (tag ^ " " ^ what ^ " timeline md5")
         digest
         (Digest.to_hex (Digest.string (Export.to_jsonl tr))))
     [
-      ("stack", Sim.Flat, Sim.Stack, "93e5b5a838ccbb8e9b8cafe00eca347c");
-      ("its", Sim.Flat, its, "424bdca35dd0725557adc40589ed13ff");
-      ("hier x its", hier, its, "5760d371901a7221540fca5d36afaed2");
+      ("BIT", "stack", Sim.Flat, Sim.Stack, "93e5b5a838ccbb8e9b8cafe00eca347c");
+      ("BIT", "its", Sim.Flat, its, "424bdca35dd0725557adc40589ed13ff");
+      ("BIT", "hier x its", hier, its, "5760d371901a7221540fca5d36afaed2");
+      ("PCM", "its", Sim.Flat, its, "6f2cc224b80733e155b0cd71adab41fe");
+      ("SB1-R", "its", Sim.Flat, its, "c9e4ec6d05895073c05025ef5679391d");
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation *)
+
+(* Minor words one [Simulator.run] allocates per simulated cycle: a
+   deterministic function of the kernel and the model, since the run
+   allocates only on this domain. *)
+let words_per_cycle (k : Kernel.t) reconvergence =
+  let inst = k.Kernel.make ~seed:2022 ~block_size:64 ~n:k.Kernel.default_n in
+  let config = { E.sim_config with Sim.reconvergence } in
+  let before = Gc.minor_words () in
+  let m =
+    Sim.run ~config inst.Kernel.func ~args:inst.Kernel.args
+      ~global:inst.Kernel.global inst.Kernel.launch
+  in
+  (Gc.minor_words () -. before) /. float_of_int m.M.cycles
+
+(* ITS keeps its lane state in int arrays, so scheduling adds little to
+   what executing the instructions allocates: at most twice the stack
+   model's words per cycle on the kernels with the heaviest ITS
+   scheduling. *)
+let test_its_allocation () =
+  List.iter
+    (fun tag ->
+      let k =
+        match Registry.find tag with
+        | Some k -> k
+        | None -> Alcotest.fail (tag ^ " not registered")
+      in
+      let stack = words_per_cycle k Sim.Stack in
+      let its = words_per_cycle k its in
+      if its > 2. *. stack then
+        Alcotest.failf
+          "%s: its allocates %.1f minor words per cycle, stack %.1f (> 2x)"
+          tag its stack)
+    [ "BIT"; "PCM" ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-model differential on generated kernels *)
@@ -475,6 +516,8 @@ let suites =
           test_its_report_byte_identical_across_jobs;
         Alcotest.test_case "timeline bytes pinned (stack, its, hier x its)"
           `Quick test_timeline_digests;
+        Alcotest.test_case "its: at most 2x stack minor words per cycle"
+          `Quick test_its_allocation;
         test_xmodel_generated;
         Alcotest.test_case "hier x its: composition invariants" `Quick
           test_hier_its_composition;
