@@ -1,72 +1,33 @@
-(** Dominator and post-dominator trees.
+(** Dominator and post-dominator trees over a function's CFG.
 
-    Implementation: the Cooper–Harvey–Kennedy iterative algorithm ("A
-    Simple, Fast Dominance Algorithm") over reverse-postorder-indexed
-    nodes.  Post-dominators are computed on the reversed CFG with a
+    The tree itself comes from {!Darm_ir.Dominance} (Cooper–Harvey–Kennedy
+    idoms, preorder intervals for O(1) queries); this module builds the
+    graph.  Post-dominators are computed on the reversed CFG with a
     virtual exit node joining every [Ret] block, so functions with
     multiple exits (or none of the blocks post-dominating each other)
-    are handled uniformly.
-
-    Dominance queries are O(1) via preorder interval numbering of the
-    tree. *)
+    are handled uniformly. *)
 
 open Darm_ir.Ssa
+module Dominance = Darm_ir.Dominance
 
 type t = {
   index_of : (int, int) Hashtbl.t;  (** block id -> node index *)
   node_block : block option array;  (** node index -> block; [None] = virtual root *)
-  idom : int array;                 (** node index -> parent index; root maps to itself *)
-  tin : int array;                  (** preorder interval entry *)
-  tout : int array;                 (** preorder interval exit *)
-  children_ : int list array;
+  tree : Dominance.t;
   is_post : bool;
 }
-
-(* Generic CHK over an abstract graph: nodes 0..n-1, 0 is the root,
-   [preds] in the dominance direction, [rpo] a reverse postorder. *)
-let chk_idoms ~(n : int) ~(preds : int list array) ~(rpo : int list) : int array
-    =
-  let rpo_num = Array.make n (-1) in
-  List.iteri (fun k v -> rpo_num.(v) <- k) rpo;
-  let idom = Array.make n (-1) in
-  idom.(0) <- 0;
-  let rec intersect a b =
-    if a = b then a
-    else if rpo_num.(a) > rpo_num.(b) then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b <> 0 then begin
-          let processed = List.filter (fun p -> idom.(p) >= 0) preds.(b) in
-          match processed with
-          | [] -> ()
-          | p0 :: rest ->
-              let new_idom = List.fold_left intersect p0 rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
-        end)
-      rpo
-  done;
-  idom
 
 let build ~(is_post : bool) (f : func) : t =
   (* Enumerate nodes: node 0 is the root (entry block, or the virtual
      exit for the post-dominator tree). *)
   let reach = Cfg.reachable_blocks f in
   let nblocks = List.length reach in
-  let n, node_block, root_succs =
+  let n, node_block =
     if is_post then
       (* virtual exit = node 0; blocks at nodes 1..n *)
-      (nblocks + 1, Array.make (nblocks + 1) None, ())
-    else (nblocks, Array.make (max nblocks 1) None, ())
+      (nblocks + 1, Array.make (nblocks + 1) None)
+    else (nblocks, Array.make (max nblocks 1) None)
   in
-  ignore root_succs;
   let index_of = Hashtbl.create 32 in
   let base = if is_post then 1 else 0 in
   List.iteri
@@ -107,36 +68,7 @@ let build ~(is_post : bool) (f : func) : t =
         succs.(bi) <- cfg_succs
       end)
     reach;
-  if (not is_post) && n > 0 then ();
-  (* RPO from the root over the dominance-direction graph. *)
-  let visited = Array.make n false in
-  let post = ref [] in
-  let rec dfs v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      List.iter dfs succs.(v);
-      post := v :: !post
-    end
-  in
-  if n > 0 then dfs 0;
-  let rpo = !post in
-  let idom = chk_idoms ~n ~preds ~rpo in
-  (* Tree children + interval numbering. *)
-  let children_ = Array.make n [] in
-  Array.iteri
-    (fun v p -> if v <> 0 && p >= 0 then children_.(p) <- v :: children_.(p))
-    idom;
-  let tin = Array.make n 0 and tout = Array.make n 0 in
-  let clock = ref 0 in
-  let rec number v =
-    incr clock;
-    tin.(v) <- !clock;
-    List.iter number children_.(v);
-    incr clock;
-    tout.(v) <- !clock
-  in
-  if n > 0 && idom.(0) = 0 then number 0;
-  { index_of; node_block; idom; tin; tout; children_; is_post }
+  { index_of; node_block; tree = Dominance.compute ~preds ~succs; is_post }
 
 let compute (f : func) : t = build ~is_post:false f
 
@@ -153,16 +85,13 @@ let idom (t : t) (b : block) : block option =
   | Some v ->
       if v = 0 then None
       else
-        let p = t.idom.(v) in
+        let p = t.tree.idom.(v) in
         if p < 0 then None else t.node_block.(p)
 
 (** [dominates t a b]: does [a] (post-)dominate [b]?  Reflexive. *)
 let dominates (t : t) (a : block) (b : block) : bool =
   match node t a, node t b with
-  | Some va, Some vb ->
-      t.idom.(va) >= 0 && t.idom.(vb) >= 0
-      && t.tin.(va) <= t.tin.(vb)
-      && t.tout.(vb) <= t.tout.(va)
+  | Some va, Some vb -> Dominance.dominates t.tree va vb
   | _ -> false
 
 let strictly_dominates (t : t) (a : block) (b : block) : bool =
@@ -171,7 +100,7 @@ let strictly_dominates (t : t) (a : block) (b : block) : bool =
 let children (t : t) (b : block) : block list =
   match node t b with
   | None -> []
-  | Some v -> List.filter_map (fun c -> t.node_block.(c)) t.children_.(v)
+  | Some v -> List.filter_map (fun c -> t.node_block.(c)) t.tree.children.(v)
 
 (* A node's immediate-dominator fact as comparable data: [None] =
    dominated by the root (entry, or the virtual exit for post-dominator
@@ -181,7 +110,7 @@ let children (t : t) (b : block) : block list =
 let idom_fact (t : t) (v : int) : int option =
   if v = 0 then None
   else
-    let p = t.idom.(v) in
+    let p = t.tree.idom.(v) in
     if p < 0 then None
     else match t.node_block.(p) with None -> None | Some b -> Some b.bid
 

@@ -1,11 +1,12 @@
 (** Dominator and post-dominator trees.
 
-    Implementation: the Cooper–Harvey–Kennedy iterative algorithm ("A
-    Simple, Fast Dominance Algorithm") over reverse-postorder-indexed
-    nodes.  Post-dominators are computed on the reversed CFG with a
+    This module builds the graph; the tree comes from
+    {!Darm_ir.Dominance} (the Cooper–Harvey–Kennedy iterative algorithm,
+    "A Simple, Fast Dominance Algorithm", plus preorder interval
+    numbering, so dominance queries are O(1)), which the IR verifier
+    uses too.  Post-dominators are computed on the reversed CFG with a
     virtual exit node joining every [Ret] block, so functions with
-    multiple exits are handled uniformly.  Dominance queries are O(1)
-    via preorder interval numbering of the tree.
+    multiple exits are handled uniformly.
 
     For a tree built with {!compute_post}, every "dominates" below reads
     "post-dominates". *)

@@ -2,8 +2,9 @@
 
     Run after every transformation in tests; a passing verifier means the
     function can be printed, parsed back, simulated, and further
-    transformed.  The dominance check uses a local iterative dominator
-    computation so that the IR library stays self-contained. *)
+    transformed.  The dominance check answers each query from one
+    {!Dominance} tree, so the verifier is linear in the size of the
+    function. *)
 
 open Ssa
 
@@ -11,68 +12,47 @@ type error = { msg : string }
 
 let errf fmt = Printf.ksprintf (fun msg -> { msg }) fmt
 
-(* Iterative dominator sets over reachable blocks; quadratic but only used
-   for verification. *)
-let dominators (f : func) : (int, (int, unit) Hashtbl.t) Hashtbl.t =
+(* Dominance among the blocks reachable from the entry, on block ids:
+   the greatest solution of dom(b) = {b} ∪ ⋂ dom(p) over the
+   predecessors in [preds], with dom(b) = {b} for the entry and for any
+   reachable block with no reachable predecessor.  Only broken IR has
+   such extra roots: [preds] holds no edges out of a block that is
+   branched to but missing from [f.blocks_list].  The roots hang off a
+   virtual node 0 of the tree, and a block no root reaches keeps the top
+   solution: every reachable block dominates it. *)
+let dominance (f : func) preds : (block -> bool) * (int -> int -> bool) =
   let entry = entry_block f in
-  let reachable = Hashtbl.create 32 in
+  let node = Hashtbl.create 64 in
+  let blocks = ref [] in
   let rec dfs b =
-    if not (Hashtbl.mem reachable b.bid) then begin
-      Hashtbl.replace reachable b.bid b;
+    if not (Hashtbl.mem node b.bid) then begin
+      Hashtbl.replace node b.bid (Hashtbl.length node + 1);
+      blocks := b :: !blocks;
       List.iter dfs (successors b)
     end
   in
   dfs entry;
-  let blocks = Hashtbl.fold (fun _ b acc -> b :: acc) reachable [] in
-  let preds = predecessors f in
-  let dom : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
-  let all () =
-    let t = Hashtbl.create 32 in
-    List.iter (fun b -> Hashtbl.replace t b.bid ()) blocks;
-    t
-  in
+  let n = Hashtbl.length node + 1 in
+  let dpreds = Array.make n [] and dsuccs = Array.make n [] in
   List.iter
     (fun b ->
-      if b.bid = entry.bid then begin
-        let t = Hashtbl.create 4 in
-        Hashtbl.replace t b.bid ();
-        Hashtbl.replace dom b.bid t
-      end
-      else Hashtbl.replace dom b.bid (all ()))
-    blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b.bid <> entry.bid then begin
-          let ps =
-            List.filter
-              (fun p -> Hashtbl.mem reachable p.bid)
-              (preds_of preds b)
-          in
-          let inter = Hashtbl.create 32 in
-          (match ps with
-          | [] -> ()
-          | p0 :: rest ->
-              Hashtbl.iter
-                (fun k () ->
-                  if
-                    List.for_all
-                      (fun p -> Hashtbl.mem (Hashtbl.find dom p.bid) k)
-                      rest
-                  then Hashtbl.replace inter k ())
-                (Hashtbl.find dom p0.bid));
-          Hashtbl.replace inter b.bid ();
-          let cur = Hashtbl.find dom b.bid in
-          if Hashtbl.length cur <> Hashtbl.length inter then begin
-            Hashtbl.replace dom b.bid inter;
-            changed := true
-          end
-        end)
-      blocks
-  done;
-  dom
+      let v = Hashtbl.find node b.bid in
+      let ps =
+        List.filter_map (fun p -> Hashtbl.find_opt node p.bid) (preds_of preds b)
+      in
+      let ps = if ps = [] || b.bid = entry.bid then 0 :: ps else ps in
+      dpreds.(v) <- ps;
+      List.iter (fun p -> dsuccs.(p) <- v :: dsuccs.(p)) ps)
+    !blocks;
+  let tree = Dominance.compute ~preds:dpreds ~succs:dsuccs in
+  let reachable b = Hashtbl.mem node b.bid in
+  let dominates a b =
+    match Hashtbl.find_opt node a, Hashtbl.find_opt node b with
+    | Some va, Some vb ->
+        (not (Dominance.in_tree tree vb)) || Dominance.dominates tree va vb
+    | _ -> false
+  in
+  (reachable, dominates)
 
 (* Operand/result type rules per opcode.  Pointer positions accept any
    address space: melding legitimately mixes spaces through flat
@@ -256,14 +236,7 @@ let run (f : func) : error list =
     else begin
       (* Phi incoming lists must match predecessor sets exactly (for
          reachable blocks). *)
-      let dom = dominators f in
-      let reachable b = Hashtbl.mem dom b.bid in
-      let dominates a b =
-        (* does block a dominate block b? *)
-        match Hashtbl.find_opt dom b with
-        | Some s -> Hashtbl.mem s a
-        | None -> false
-      in
+      let reachable, dominates = dominance f preds in
       List.iter
         (fun b ->
           if reachable b then begin

@@ -138,9 +138,11 @@ let merge_into_predecessor (f : func) : bool =
   !changed
 
 (* Remove blocks that contain only `br dest` by threading predecessors
-   directly to dest, unless that would create a phi conflict. *)
+   directly to dest, unless that would create a phi conflict.  One preds
+   table serves the whole batch: removing [b] changes only the
+   predecessors of [dest], which are patched in place, and the removed
+   blocks leave [f.blocks_list] together at the end. *)
 let remove_forwarding_blocks (f : func) : bool =
-  let changed = ref false in
   let entry = entry_block f in
   let forwarding =
     List.filter
@@ -151,17 +153,28 @@ let remove_forwarding_blocks (f : func) : bool =
            | _ -> false))
       f.blocks_list
   in
+  let preds = predecessors f in
+  (* [predecessors] lists a block's predecessors in reverse block-list
+     order; patched lists keep that order, which fixes phi order. *)
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun k b -> Hashtbl.replace pos b.bid k) f.blocks_list;
+  let rec merge xs ys =
+    match xs, ys with
+    | [], l | l, [] -> l
+    | x :: xt, y :: yt ->
+        let px = Hashtbl.find pos x.bid and py = Hashtbl.find pos y.bid in
+        if px = py then x :: merge xt yt
+        else if px > py then x :: merge xt ys
+        else y :: merge xs yt
+  in
+  let removed = Hashtbl.create 16 in
   List.iter
     (fun b ->
-      if
-        (* earlier removals in this batch change the CFG: recheck *)
-        List.exists (fun x -> x.bid = b.bid) f.blocks_list
-        && (match b.instrs with [ t ] -> t.op = Op.Br | _ -> false)
-      then begin
+      (* earlier removals in this batch change the CFG: skip removed
+         blocks and read the destination afresh *)
+      if not (Hashtbl.mem removed b.bid) then begin
       let dest = (terminator b).blocks.(0) in
       if dest.bid <> b.bid then begin
-        (* predecessors must be fresh: the batch mutates the CFG *)
-        let preds = predecessors f in
         let bpreds = preds_of preds b in
         (* Conflict: a phi in dest would need two different values for the
            same predecessor edge, or a pred already reaches dest. *)
@@ -218,13 +231,22 @@ let remove_forwarding_blocks (f : func) : bool =
           List.iter
             (fun p -> redirect_edge p ~old_dest:b ~new_dest:dest)
             bpreds;
-          remove_block f b;
-          changed := true
+          Hashtbl.replace preds dest.bid
+            (merge
+               (List.filter (fun p -> p.bid <> b.bid) (preds_of preds dest))
+               bpreds);
+          Hashtbl.replace removed b.bid b
         end
       end
       end)
     forwarding;
-  !changed
+  if Hashtbl.length removed = 0 then false
+  else begin
+    f.blocks_list <-
+      List.filter (fun b -> not (Hashtbl.mem removed b.bid)) f.blocks_list;
+    Hashtbl.iter (fun _ b -> b.bparent <- None) removed;
+    true
+  end
 
 let one_round (f : func) : bool =
   let c1 = Darm_analysis.Cfg.remove_unreachable f in

@@ -170,6 +170,51 @@ fi
 grep -q '"id":"shared-race-rw"' /tmp/darm_check_xrw.json
 rm -f /tmp/darm_check_xbar.json /tmp/darm_check_xrace.json /tmp/darm_check_xrw.json
 
+# verifier sentinel: a diamond whose arm-local def is used at the join
+# must fail `darm_opt parse` with a dominance error, and the same kernel
+# with the use moved into the arm must parse
+verify_dir=$(mktemp -d /tmp/darm_verify.XXXXXX)
+cat > "$verify_dir/bad.ll" <<'EOF'
+kernel @arm_def_at_join() {
+entry:
+  %0 = thread.idx
+  %1 = icmp slt %0, 4
+  condbr %1, then, else
+then:
+  %2 = add %0, 1
+  br join
+else:
+  br join
+join:
+  %3 = add %2, 1
+  ret
+}
+EOF
+cat > "$verify_dir/good.ll" <<'EOF'
+kernel @arm_def_in_arm() {
+entry:
+  %0 = thread.idx
+  %1 = icmp slt %0, 4
+  condbr %1, then, else
+then:
+  %2 = add %0, 1
+  %3 = add %2, 1
+  br join
+else:
+  br join
+join:
+  ret
+}
+EOF
+if dune exec bin/darm_opt.exe -- parse "$verify_dir/bad.ll" \
+    > "$verify_dir/bad.txt" 2>&1; then
+  echo "ci: verifier accepted an arm-local def used at the join" >&2
+  rm -rf "$verify_dir"; exit 1
+fi
+grep -q 'does not dominate' "$verify_dir/bad.txt"
+dune exec bin/darm_opt.exe -- parse "$verify_dir/good.ll" > /dev/null
+rm -rf "$verify_dir"
+
 # incremental analysis + similarity prefilter (doc/static-analysis.md):
 # the prefilter is exact — disabling it (and changing the job count)
 # must leave every meld decision, and therefore the whole attribution

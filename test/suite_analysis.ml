@@ -274,6 +274,182 @@ let test_remove_unreachable () =
     (not (List.exists (fun b -> b.Ssa.bname = "dead") f.Ssa.blocks_list));
   check "idempotent" false (A.Cfg.remove_unreachable f)
 
+(* ------------------------------------------------------------------ *)
+(* Dominance against a brute-force reference on random CFGs            *)
+
+type term = Ret | Br of int | Condbr of int * int
+
+(* Per block: its terminator and the block whose value it uses.  Small
+   graphs hit the awkward shapes often: unreachable blocks, self-loops,
+   condbr with both targets equal, several rets. *)
+let cfg_gen : (term * int) list QCheck2.Gen.t =
+  QCheck2.Gen.(
+    int_range 1 9 >>= fun n ->
+    let target = int_bound (n - 1) in
+    list_repeat n
+      (pair
+         (frequency
+            [
+              (2, return Ret);
+              (3, map (fun t -> Br t) target);
+              (4, map2 (fun a b -> Condbr (a, b)) target target);
+            ])
+         target))
+
+let print_cfg spec =
+  String.concat "; "
+    (List.mapi
+       (fun k (t, u) ->
+         Printf.sprintf "b%d: %s, uses b%d" k
+           (match t with
+           | Ret -> "ret"
+           | Br a -> Printf.sprintf "br b%d" a
+           | Condbr (a, b) -> Printf.sprintf "condbr b%d b%d" a b)
+           u)
+       spec)
+
+let targets = function Ret -> [] | Br a -> [ a ] | Condbr (a, b) -> [ a; b ]
+
+(* Block [bk] defines [dk = add 1, 2], then computes [add d(u), 1] for
+   the block [u] it uses, then branches. *)
+let build_cfg spec =
+  let f = Ssa.mk_func "rand" [] in
+  let blocks =
+    Array.of_list
+      (List.mapi (fun k _ -> Ssa.mk_block (Printf.sprintf "b%d" k)) spec)
+  in
+  Array.iter (Ssa.append_block f) blocks;
+  let add b x =
+    let i = Ssa.mk_instr (Op.Ibin Op.Add) [| x; Ssa.Int 1 |] [||] Types.I32 in
+    Ssa.append_instr b i;
+    i
+  in
+  let defs = Array.map (fun b -> add b (Ssa.Int 2)) blocks in
+  let uses =
+    Array.of_list
+      (List.mapi
+         (fun k (t, u) ->
+           let i = add blocks.(k) (Ssa.Instr defs.(u)) in
+           let op, operands =
+             match t with
+             | Ret -> (Op.Ret, [||])
+             | Br _ -> (Op.Br, [||])
+             | Condbr _ -> (Op.Condbr, [| Ssa.Bool true |])
+           in
+           Ssa.append_instr blocks.(k)
+             (Ssa.mk_instr op operands
+                (Array.of_list (List.map (fun a -> blocks.(a)) (targets t)))
+                Types.Void);
+           i)
+         spec)
+  in
+  (f, blocks, defs, uses)
+
+(* the nodes reached from [root] along [succs] without entering [cut] *)
+let reached ~n ~succs ~root ~cut =
+  let seen = Array.make n false in
+  let rec go v =
+    if v <> cut && not seen.(v) then begin
+      seen.(v) <- true;
+      List.iter go (succs v)
+    end
+  in
+  go root;
+  seen
+
+(* [a] dominates [b] iff [b] is reached from the root, and is no longer
+   once [a] is deleted *)
+let ref_dominates ~n ~succs ~root a b =
+  (reached ~n ~succs ~root ~cut:(-1)).(b)
+  && (a = b || not (reached ~n ~succs ~root ~cut:a).(b))
+
+let fwd spec =
+  let term = Array.of_list (List.map fst spec) in
+  fun k -> targets term.(k)
+
+(* every pair of blocks: [tree_says a b] against the reference *)
+let all_pairs n tree_says ref_says =
+  let nodes = List.init n Fun.id in
+  List.for_all
+    (fun a -> List.for_all (fun b -> tree_says a b = ref_says a b) nodes)
+    nodes
+
+let prop_domtree spec =
+  let n = List.length spec in
+  let f, blocks, _, _ = build_cfg spec in
+  let dt = A.Domtree.compute f in
+  all_pairs n
+    (fun a b -> A.Domtree.dominates dt blocks.(a) blocks.(b))
+    (ref_dominates ~n ~succs:(fwd spec) ~root:0)
+
+(* Post-dominators: the reversed graph over the blocks the entry
+   reaches, rooted at a virtual exit (node [n]) that leads to every
+   [ret] block. *)
+let prop_postdom spec =
+  let n = List.length spec in
+  let f, blocks, _, _ = build_cfg spec in
+  let live = reached ~n ~succs:(fwd spec) ~root:0 ~cut:(-1) in
+  let rev v =
+    List.filter
+      (fun p ->
+        live.(p)
+        &&
+        if v = n then targets (fst (List.nth spec p)) = []
+        else List.mem v (fwd spec p))
+      (List.init n Fun.id)
+  in
+  let pdt = A.Domtree.compute_post f in
+  all_pairs n
+    (fun a b -> A.Domtree.dominates pdt blocks.(a) blocks.(b))
+    (ref_dominates ~n:(n + 1) ~succs:rev ~root:n)
+
+(* Verify.run reports exactly the reachable blocks whose used def does
+   not dominate them, in block order. *)
+let prop_verify spec =
+  let n = List.length spec in
+  let f, _, defs, uses = build_cfg spec in
+  let live = reached ~n ~succs:(fwd spec) ~root:0 ~cut:(-1) in
+  let expected =
+    List.concat
+      (List.mapi
+         (fun k (_, u) ->
+           if live.(k) && u <> k
+              && not (ref_dominates ~n ~succs:(fwd spec) ~root:0 u k)
+           then
+             [
+               Printf.sprintf
+                 "use in b%d (op add): def %d does not dominate use %d" k
+                 defs.(u).Ssa.id uses.(k).Ssa.id;
+             ]
+           else [])
+         spec)
+  in
+  List.map (fun (e : Verify.error) -> e.msg) (Verify.run f) = expected
+
+(* one CFG with every awkward shape at once: a condbr with equal
+   targets (b1), a self-loop (b2), several rets (b3, b5), an
+   unreachable block (b4) and a use across sibling arms (b2 uses b1) *)
+let awkward_cfg =
+  [
+    (Condbr (1, 2), 0);
+    (Condbr (3, 3), 0);
+    (Condbr (2, 5), 1);
+    (Ret, 1);
+    (Br 3, 2);
+    (Ret, 0);
+  ]
+
+let test_dominance_awkward_cfg () =
+  check "domtree" true (prop_domtree awkward_cfg);
+  check "postdom" true (prop_postdom awkward_cfg);
+  check "verify" true (prop_verify awkward_cfg);
+  let f, _, _, _ = build_cfg awkward_cfg in
+  check "b2's use is the one error" true (List.length (Verify.run f) = 1)
+
+let qcheck name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_cfg ~name cfg_gen prop)
+
 let suites =
   [
     ( "analysis",
@@ -300,5 +476,10 @@ let suites =
           test_cfg_reachable_without;
         Alcotest.test_case "cfg remove_unreachable" `Quick
           test_remove_unreachable;
+        Alcotest.test_case "dominance: awkward cfg" `Quick
+          test_dominance_awkward_cfg;
+        qcheck "domtree = brute-force dominance" prop_domtree;
+        qcheck "postdom = brute-force post-dominance" prop_postdom;
+        qcheck "verify dominance errors = brute force" prop_verify;
       ] );
   ]

@@ -141,6 +141,137 @@ let test_verifier_type_checks () =
   Ssa.append_instr blk (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   check "cross-space select accepted" true (Verify.run f = [])
 
+(* Cross-block dominance.  The messages carry instruction ids, which
+   are global counters, so the expected texts read them from the parsed
+   function. *)
+let verify_kernel text =
+  match Parser.parse_func text with
+  | Error e -> Alcotest.failf "kernel does not parse: %s" e
+  | Ok f -> (f, List.map (fun (e : Verify.error) -> e.msg) (Verify.run f))
+
+(* A diamond on a divergent condition, [entry -> (then | else) -> join];
+   [arms] is the text of [then], [else] and [join] (and any further
+   blocks), each block ending in its own terminator. *)
+let verify_diamond ~name arms =
+  verify_kernel
+    (Printf.sprintf
+       "kernel @%s() {\n\
+        entry:\n\
+       \  %%0 = thread.idx\n\
+       \  %%1 = icmp slt %%0, 4\n\
+       \  condbr %%1, then, else\n\
+        %s}\n"
+       name arms)
+
+(* the id of the [k]th instruction of block [bname] *)
+let id_at (f : Ssa.func) bname k =
+  let b = List.find (fun b -> b.Ssa.bname = bname) f.Ssa.blocks_list in
+  (List.nth b.Ssa.instrs k).Ssa.id
+
+let check_msgs what expected got =
+  Alcotest.(check (list string)) what expected got
+
+let test_verifier_arm_def_at_join () =
+  let f, msgs =
+    verify_diamond ~name:"arm_at_join"
+      "then:\n  %2 = add %0, 1\n  br join\n\
+       else:\n  br join\n\
+       join:\n  %3 = add %2, 1\n  ret\n"
+  in
+  check_msgs "arm def used at the join"
+    [
+      Printf.sprintf "use in join (op add): def %d does not dominate use %d"
+        (id_at f "then" 0) (id_at f "join" 0);
+    ]
+    msgs
+
+let test_verifier_arm_def_in_other_arm () =
+  let f, msgs =
+    verify_diamond ~name:"arm_in_arm"
+      "then:\n  %2 = add %0, 1\n  br join\n\
+       else:\n  %3 = mul %2, 2\n  br join\n\
+       join:\n  ret\n"
+  in
+  check_msgs "arm def used in the other arm"
+    [
+      Printf.sprintf "use in else (op mul): def %d does not dominate use %d"
+        (id_at f "then" 0) (id_at f "else" 0);
+    ]
+    msgs
+
+let test_verifier_phi_edge () =
+  let f, msgs =
+    verify_diamond ~name:"phi_edge"
+      "then:\n  %2 = add %0, 1\n  br join\n\
+       else:\n  br join\n\
+       join:\n  %3 = phi i32 [%2, else], [0, then]\n  ret\n"
+  in
+  check_msgs "phi operand over an edge its def does not dominate"
+    [
+      Printf.sprintf "phi use in join: def %d does not dominate edge from else"
+        (id_at f "then" 0);
+    ]
+    msgs
+
+let test_verifier_loop_carried_phi () =
+  let _, msgs =
+    verify_kernel
+      "kernel @loop() {\n\
+       entry:\n  %0 = thread.idx\n  br head\n\
+       head:\n  %1 = phi i32 [0, entry], [%2, body]\n\
+      \  %3 = icmp slt %1, %0\n  condbr %3, body, exit\n\
+       body:\n  %2 = add %1, 1\n  br head\n\
+       exit:\n  ret\n}\n"
+  in
+  check_msgs "loop-carried phi over a back edge" [] msgs
+
+let test_verifier_unreachable_use () =
+  let _, msgs =
+    verify_diamond ~name:"dead_use"
+      "then:\n  %2 = add %0, 1\n  br join\n\
+       else:\n  br join\n\
+       join:\n  ret\n\
+       dead:\n  %3 = add %2, 1\n  ret\n"
+  in
+  check_msgs "a bad use in an unreachable block is not reported" [] msgs
+
+(* A branch to a block missing from the function (here [then], removed
+   with its references left in place) reaches that block but adds none
+   of its out-edges.  So [mid], whose only predecessor is [then], is
+   dominated by itself alone; and the [cyc]/[cyc2] loop, entered only
+   from [then], is dominated by every reachable block. *)
+let test_verifier_dangling_target () =
+  let f, _ =
+    verify_diamond ~name:"dangling"
+      "then:\n  condbr %1, mid, cyc\n\
+       mid:\n  %2 = add %0, 1\n  br join\n\
+       cyc:\n  %3 = add %0, 2\n  br cyc2\n\
+       cyc2:\n  condbr %1, cyc, join\n\
+       else:\n  br join\n\
+       join:\n  ret\n"
+  in
+  Ssa.remove_block f
+    (List.find (fun b -> b.Ssa.bname = "then") f.Ssa.blocks_list);
+  check_msgs "only the use in the block the dangling branch feeds"
+    [
+      Printf.sprintf "use in mid (op add): def %d does not dominate use %d"
+        (id_at f "entry" 0) (id_at f "mid" 0);
+    ]
+    (List.map (fun (e : Verify.error) -> e.msg) (Verify.run f))
+
+(* Verify.run is linear: twice the blocks, about twice the allocation
+   (a quadratic verifier allocates four times as much). *)
+let test_verifier_allocation_scales_linearly () =
+  let words n =
+    let f = Testlib.diamond_ladder n in
+    Testlib.minor_words (fun () ->
+        check "ladder verifies" true (Verify.run f = []))
+  in
+  let w1 = words 100 and w2 = words 200 in
+  if w2 /. w1 >= 3.0 then
+    Alcotest.failf "Verify.run minor words: %.0f at 100 rungs, %.0f at 200 \
+                    (ratio %.2f >= 3)" w1 w2 (w2 /. w1)
+
 let test_dsl_diamond_verifies () =
   let f = Testlib.diamond_func () in
   Verify.run_exn f;
@@ -230,6 +361,20 @@ let suites =
           test_verifier_catches_phi_mismatch;
         Alcotest.test_case "verifier: type checks" `Quick
           test_verifier_type_checks;
+        Alcotest.test_case "verifier: arm def used at join" `Quick
+          test_verifier_arm_def_at_join;
+        Alcotest.test_case "verifier: arm def used in other arm" `Quick
+          test_verifier_arm_def_in_other_arm;
+        Alcotest.test_case "verifier: phi operand edge dominance" `Quick
+          test_verifier_phi_edge;
+        Alcotest.test_case "verifier: loop-carried phi accepted" `Quick
+          test_verifier_loop_carried_phi;
+        Alcotest.test_case "verifier: unreachable use not reported" `Quick
+          test_verifier_unreachable_use;
+        Alcotest.test_case "verifier: branch to a removed block" `Quick
+          test_verifier_dangling_target;
+        Alcotest.test_case "verifier: allocation linear in blocks" `Quick
+          test_verifier_allocation_scales_linearly;
         Alcotest.test_case "dsl diamond verifies" `Quick
           test_dsl_diamond_verifies;
         Alcotest.test_case "dsl loop phis" `Quick test_dsl_loop_phis;

@@ -108,6 +108,24 @@ let test_simplify_constant_branch () =
   check "store folded to 1" true
     (match stored with Some (Ssa.Int 1) -> true | _ -> false)
 
+(* SimplifyCFG threads one arm of every rung (the phi keeps the other)
+   with allocation linear in the ladder: twice the rungs, about twice
+   the words (re-deriving predecessors per forwarding block allocates
+   four times as much). *)
+let test_simplify_forwarding_allocation_scales_linearly () =
+  let words n =
+    let f = Testlib.diamond_ladder n in
+    let w = Testlib.minor_words (fun () -> ignore (T.Simplify_cfg.run f)) in
+    Verify.run_exn f;
+    check "one arm per rung threaded" true
+      (List.length f.Ssa.blocks_list = 1 + (2 * n));
+    w
+  in
+  let w1 = words 100 and w2 = words 200 in
+  if w2 /. w1 >= 3.0 then
+    Alcotest.failf "Simplify_cfg.run minor words: %.0f at 100 rungs, %.0f at \
+                    200 (ratio %.2f >= 3)" w1 w2 (w2 /. w1)
+
 let test_if_convert_diamond () =
   let f = Testlib.diamond_func () in
   check "converted" true (T.Simplify_cfg.if_convert ~max_cost:20 f);
@@ -228,6 +246,8 @@ let suites =
           test_simplify_collapses_empty_diamond;
         Alcotest.test_case "simplify constant branch" `Quick
           test_simplify_constant_branch;
+        Alcotest.test_case "simplify forwarding allocation linear" `Quick
+          test_simplify_forwarding_allocation_scales_linearly;
         Alcotest.test_case "if-convert diamond" `Quick test_if_convert_diamond;
         Alcotest.test_case "if-convert refuses stores" `Quick
           test_if_convert_refuses_stores;

@@ -67,6 +67,53 @@ let diamond_func () : Ssa.func =
         (fun () -> D.set ctx r (D.mul ctx v (D.i32 3)));
       D.store ctx (D.get ctx r) (D.gep ctx out gid))
 
+(* A ladder of [n] diamonds with empty (forwarding) arms on a divergent
+   condition: each join picks 1 or 2 by arm in a phi and adds it to the
+   previous join's sum, so uses cross blocks all the way down.  The
+   phis keep one arm of every diamond alive through SimplifyCFG. *)
+let diamond_ladder (n : int) : Ssa.func =
+  let f = Ssa.mk_func "ladder" [] in
+  let block name =
+    let b = Ssa.mk_block name in
+    Ssa.append_block f b;
+    b
+  in
+  let emit b op operands blocks ty =
+    let i = Ssa.mk_instr op operands blocks ty in
+    Ssa.append_instr b i;
+    i
+  in
+  let entry = block "entry" in
+  let tid = emit entry Op.Thread_idx [||] [||] Types.I32 in
+  let c =
+    emit entry (Op.Icmp Op.Islt) [| Ssa.Instr tid; Ssa.Int 4 |] [||] Types.I1
+  in
+  let rec rung k head sum =
+    if k = n then ignore (emit head Op.Ret [||] [||] Types.Void)
+    else begin
+      let t = block (Printf.sprintf "t%d" k) in
+      let e = block (Printf.sprintf "e%d" k) in
+      let j = block (Printf.sprintf "j%d" k) in
+      ignore (emit head Op.Condbr [| Ssa.Instr c |] [| t; e |] Types.Void);
+      ignore (emit t Op.Br [||] [| j |] Types.Void);
+      ignore (emit e Op.Br [||] [| j |] Types.Void);
+      let phi = emit j Op.Phi [| Ssa.Int 1; Ssa.Int 2 |] [| t; e |] Types.I32 in
+      let sum =
+        emit j (Op.Ibin Op.Add) [| Ssa.Instr phi; sum |] [||] Types.I32
+      in
+      rung (k + 1) j (Ssa.Instr sum)
+    end
+  in
+  rung 0 entry (Ssa.Instr tid);
+  f
+
+(** Words [g ()] allocates on the minor heap.  Exact and repeatable, so
+    scaling tests compare it instead of timing. *)
+let minor_words (g : unit -> unit) : float =
+  let w0 = Gc.minor_words () in
+  g ();
+  Gc.minor_words () -. w0
+
 (* ------------------------------------------------------------------ *)
 (* Seed ranges and transform thunks shared by the fuzz-style suites    *)
 
